@@ -2,7 +2,8 @@
 isospectrality as batch commands with deterministic JSON or plain output.
 
 Exit codes: 0 success, 1 usage or expression parse error, 2 binding error,
-3 leakage / non-invariant degree, 4 numeric non-convergence.
+3 leakage / non-invariant degree, 4 numeric non-convergence or float
+overflow.
 
 Every command emits one envelope::
 
@@ -455,7 +456,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         }
         _emit_error(command, str(err), EXIT_LEAKAGE, out, detail)
         return EXIT_LEAKAGE
-    except NonConvergenceError as err:
+    except (NonConvergenceError, OverflowError) as err:
+        # OverflowError: a number too large for a float (a root or a
+        # coefficient) reached the numeric stage
         _emit_error(command, str(err), EXIT_NUMERIC, out)
         return EXIT_NUMERIC
 

@@ -1,13 +1,13 @@
 """Exact characteristic polynomials, eigenvalues and eigenvectors.
 
 The pipeline is exact-first: restrictions to invariant degree spans are
-rational matrices, characteristic polynomials come from the
-Faddeev-LeVerrier recursion over Fractions, and rational eigenvalues are
-extracted by divisor search with exact deflation.  Floating point enters
-only when refining the remaining roots: Sturm sequences isolate the real
-ones (refined by bisection plus a Newton polish), Durand-Kerner iteration
-handles complex pairs, and every numeric root carries a certified residual
-``|p(x)| / (1 + max|coeff|)``.
+rational matrices and characteristic polynomials come from the
+Faddeev-LeVerrier recursion over Fractions.  Roots are found per
+square-free factor, scaled to a primitive integer polynomial: an integer
+Sturm chain isolates the real roots, rational ones are read off their exact
+intervals, and every other real root is certified by an exact bracket of
+width at most ``tol`` (then Newton-polished in floats).  Durand-Kerner
+iteration finds complex pairs, certified by ``|p(z)| / (1 + max|coeff|)``.
 
 Cross-realization isospectrality is therefore a decidable, bit-exact
 equality of characteristic polynomials.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -228,8 +229,8 @@ def char_poly(m: Matrix) -> CharPoly:
 
 @dataclass(frozen=True)
 class Eigenvalue:
-    """A root: exact rational, or a float approximation with certified
-    residual ``|p(x)| / (1 + max|coeff|)``."""
+    """A root: exact rational, or a float approximation with its residual
+    ``|p(x)| / (1 + max|coeff|)`` (the certificate of a complex root)."""
 
     exact: Optional[Rational]
     re: float
@@ -247,13 +248,6 @@ class Eigenvalue:
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
-
-
-def _poly_eval(coeffs: Sequence[Rational], x: Rational) -> Rational:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _poly_deriv(coeffs: Sequence[Rational]) -> List[Rational]:
@@ -281,19 +275,14 @@ def _poly_divmod(num: Sequence[Rational], den: Sequence[Rational]):
 
 
 def _poly_gcd(a: Sequence[Rational], b: Sequence[Rational]) -> List[Rational]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_monic(a) if a else [Fraction(1)]
+    """Monic gcd: the last member of the integer remainder sequence."""
+    if not b:
+        return _poly_monic(a)
+    return _poly_monic([Fraction(c) for c in _sturm_chain(_primitive(a), _primitive(b))[-1]])
 
 
 def _poly_sub(a: Sequence[Rational], b: Sequence[Rational]) -> List[Rational]:
-    n = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=Fraction(0))]
     while out and not out[-1]:
         out.pop()
     return out
@@ -306,140 +295,146 @@ def _square_free_decomposition(coeffs: Sequence[Rational]):
         return
     dp = _poly_deriv(p)
     g = _poly_gcd(p, dp)
-    if len(g) == 1:
-        yield (p, 1)
-        return
     c, _ = _poly_divmod(p, g)
     d = _poly_sub(_poly_divmod(dp, g)[0], _poly_deriv(c))
     mult = 1
     while len(c) > 1:
         f = _poly_gcd(c, d)
         if len(f) > 1:
-            yield (_poly_monic(f), mult)
+            yield (f, mult)
         c, _ = _poly_divmod(c, f)
         quot, _ = _poly_divmod(d, f)
         d = _poly_sub(quot, _poly_deriv(c))
         mult += 1
 
 
-def _divisors(n: int, trial_bound: int = 1_000_000) -> List[int]:
-    """Positive divisors via trial-division factorization.
+def _primitive(coeffs: Sequence[Rational]) -> List[int]:
+    """``coeffs`` times the positive rational that makes them coprime
+    integers (signs are kept)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
-    A cofactor surviving the trial bound is treated as a single prime, so
-    divisors of astronomically composite constants can be missed; such roots
-    then fall through to the certified numeric path.
-    """
-    n = abs(n)
-    if n == 0:
-        return [1]
-    factors: dict[int, int] = {}
-    for p in range(2, trial_bound + 1):
-        if p * p > n:
+
+def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
+    """Sign of an integer polynomial at ``num/den`` (``den > 0``): the sign
+    of the homogeneous form ``sum c_i num^i den^(d-i)``, by Horner."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_chain(a: List[int], b: List[int]) -> List[List[int]]:
+    """``a``, ``b`` and their negated remainders down to ``gcd(a, b)``: the
+    Sturm chain of ``a`` when ``b = a'``.
+
+    Each remainder, from pseudo-division by ``lead^steps``, is scaled by a
+    positive factor to a primitive integer polynomial, so signs are kept."""
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        rem, div = list(chain[-2]), chain[-1]
+        lead, steps = div[-1], len(rem) - len(div) + 1
+        for shift in range(steps - 1, -1, -1):
+            f = rem[shift + len(div) - 1]
+            rem = [lead * c for c in rem]
+            for i, d in enumerate(div):
+                rem[shift + i] -= f * d
+        del rem[len(div) - 1:]
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
             break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for p, e in factors.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def _rational_roots(coeffs: List[Rational]) -> Tuple[List[Rational], List[Rational]]:
-    """Extract all rational roots (with multiplicity) by divisor search and
-    exact deflation; returns (roots, deflated monic remainder)."""
-    roots: List[Rational] = []
-    work = list(coeffs)
-    while len(work) > 1 and not work[0]:
-        roots.append(Fraction(0))
-        work = work[1:]
-    if len(work) <= 1:
-        return roots, work
-    denom_lcm = 1
-    for c in work:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in work]
-    candidates = []
-    for u in _divisors(ints[0]):
-        for v in _divisors(ints[-1]):
-            if math.gcd(u, v) == 1:
-                candidates.append(Fraction(u, v))
-                candidates.append(Fraction(-u, v))
-    candidates.sort()
-    for cand in candidates:
-        while len(work) > 1 and _poly_eval(work, cand) == 0:
-            roots.append(cand)
-            work, rem = _poly_divmod(work, [-cand, Fraction(1)])
-            assert not rem
-    return roots, work
-
-
-def _sturm_chain(coeffs: Sequence[Rational]) -> List[List[Rational]]:
-    chain = [list(coeffs), _poly_deriv(coeffs)]
-    while chain[-1]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        chain.append([-c for c in r])
-    chain.pop()
+        flip = -1 if lead < 0 and steps % 2 else 1
+        chain.append(_primitive([-flip * c for c in rem]))
     return chain
 
 
-def _variations(chain: Sequence[Sequence[Rational]], x: Rational) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+def _variations(chain: Sequence[Sequence[int]], num: int, den: int) -> Tuple[int, bool]:
+    """Sign variations of the chain at ``num/den``, and whether that point
+    is a root of ``chain[0]``."""
+    signs = [_sign_at(p, num, den) for p in chain]
+    nonzero = [s for s in signs if s]
+    return sum(s1 != s2 for s1, s2 in zip(nonzero, nonzero[1:])), not signs[0]
 
 
-def _isolate_real_roots(coeffs: List[Rational]) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint open intervals, one simple real root each (square-free input
-    with no rational roots, so endpoints are never roots)."""
-    chain = _sturm_chain(coeffs)
-    bound = Fraction(1) + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1]) if len(coeffs) > 1 else Fraction(1)
-    intervals: List[Tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
+def _isolate_real_roots(
+    chain: Sequence[Sequence[int]],
+) -> Tuple[List[Fraction], List[Tuple[int, int, int]]]:
+    """Real roots of the square-free ``chain[0]``: the bisection points that
+    are roots, and open intervals ``(a/2^k, b/2^k)`` holding one root each.
+
+    ``V(lo) - V(hi)`` counts the roots in ``(lo, hi]``; a bisection point
+    that is a root is recorded and not counted again in its left half."""
+    p = chain[0]
+    # Fujiwara: every root has |z| <= 2 max |c_i / lead|^(1/(d-i)) < bound
+    bound = 2 << max([0] + [
+        -((p[-1].bit_length() - abs(c).bit_length() - 1) // (len(p) - 1 - i))
+        for i, c in enumerate(p[:-1]) if c
+    ])
+    hits: List[Fraction] = []
+    intervals: List[Tuple[int, int, int]] = []
+    (vlo, _), (vhi, _) = _variations(chain, -bound, 1), _variations(chain, bound, 1)
+    stack = [(-bound, bound, 0, vlo, vhi, False)]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        count = vlo - vhi
+        a, b, k, va, vb, b_is_root = stack.pop()
+        count = va - vb - b_is_root
         if count <= 0:
             continue
         if count == 1:
-            intervals.append((lo, hi))
+            intervals.append((a, b, k))
             continue
-        mid = (lo + hi) / 2
-        vmid = _variations(chain, mid)
-        stack.append((lo, mid, vlo, vmid))
-        stack.append((mid, hi, vmid, vhi))
-    return sorted(intervals)
+        mid, k = a + b, k + 1
+        vmid, mid_is_root = _variations(chain, mid, 1 << k)
+        if mid_is_root:
+            hits.append(Fraction(mid, 1 << k))
+        stack.append((2 * a, mid, k, va, vmid, mid_is_root))
+        stack.append((mid, 2 * b, k, vmid, vb, b_is_root))
+    return hits, intervals
 
 
 def _refine_real_root(
-    coeffs: List[Rational], lo: Fraction, hi: Fraction, tol: float
-) -> float:
-    flo = _poly_eval(coeffs, lo)
-    if flo == 0:  # pragma: no cover - rational roots were deflated already
-        return float(lo)
-    neg_left = flo < 0
-    width_goal = Fraction(tol)
-    while hi - lo > width_goal:
-        mid = (lo + hi) / 2
-        fmid = _poly_eval(coeffs, mid)
-        if fmid == 0:  # pragma: no cover
-            return float(mid)
-        if (fmid < 0) == neg_left:
-            lo = mid
-        else:
-            hi = mid
-    # Newton polish in floating point; fall back to the bracket midpoint.
+    chain: Sequence[Sequence[int]], a: int, b: int, k: int, tol: float
+) -> Union[Fraction, Tuple[int, int, int]]:
+    """Bisect the isolating interval ``(a/2^k, b/2^k)`` of a root of
+    ``chain[0]``: the root itself if it is rational, else an exact bracket
+    ``(a, b, k)`` of width at most ``tol``.
+
+    A rational root of the primitive ``chain[0]`` with leading coefficient
+    ``l`` is ``m/l`` for an integer ``m``, so once the interval is narrower
+    than ``1/l`` it holds at most one such point and one exact sign test
+    decides it."""
+    p, lead = chain[0], chain[0][-1]
+    # sign of p just right of lo: of p'(lo) when lo is a recorded root
+    left = _sign_at(p, a, 1 << k) or _sign_at(chain[1], a, 1 << k)
+    tol_num, tol_den = Fraction(tol).as_integer_ratio()
+    tested = False
+    while not (tested and (b - a) * tol_den <= tol_num << k):
+        if not tested and (b - a) * lead < 1 << k:
+            tested = True
+            m = (a * lead >> k) + 1  # the one grid point m/l that can lie inside
+            if m << k < b * lead and not _sign_at(p, m, lead):
+                return Fraction(m, lead)
+            continue
+        mid, k = a + b, k + 1
+        s = _sign_at(p, mid, 1 << k)
+        if not s:
+            return Fraction(mid, 1 << k)
+        a, b = (mid, 2 * b) if s == left else (2 * a, mid)
+    return a, b, k
+
+
+def _newton_polish(coeffs: Sequence[Rational], a: int, b: int, k: int) -> float:
+    """Float Newton polish of a root bracketed by ``(a/2^k, b/2^k)``; falls
+    back to the bracket midpoint if it leaves the bracket."""
     fc = [float(c) for c in coeffs]
     dc = [float(c) for c in _poly_deriv(coeffs)]
-    x = float((lo + hi) / 2)
+    x = mid = (a + b) / (1 << (k + 1))
     for _ in range(8):
-        fx = _horner_float(fc, x)
-        dfx = _horner_float(dc, x)
+        fx = _horner(fc, x)
+        dfx = _horner(dc, x)
         if not dfx:
             break
         step = fx / dfx
@@ -448,13 +443,12 @@ def _refine_real_root(
         x -= step
         if abs(step) < 1e-17 * (1 + abs(x)):
             break
-    if not (float(lo) - tol <= x <= float(hi) + tol):
-        x = float((lo + hi) / 2)
-    return x
+    return x if a / (1 << k) <= x <= b / (1 << k) else mid
 
 
-def _horner_float(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
+def _horner(coeffs: Sequence[complex], x: complex) -> complex:
+    """Float or complex Horner evaluation."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -472,7 +466,7 @@ def _durand_kerner(
     for _ in range(iter_cap):
         max_step = 0.0
         for i in range(deg):
-            num = _horner_complex(monic, zs[i])
+            num = _horner(monic, zs[i])
             den = 1 + 0j
             for j in range(deg):
                 if j != i:
@@ -491,63 +485,65 @@ def _durand_kerner(
     )
 
 
-def _horner_complex(coeffs: Sequence[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def roots(
     p: CharPoly, tol: float = DEFAULT_ROOT_TOL, iter_cap: int = DEFAULT_ITER_CAP
 ) -> List[Eigenvalue]:
     """All roots of ``p`` as a multiset (list length equals the degree).
 
-    Rational roots are exact.  Remaining real roots are isolated by Sturm
-    sequences and refined by bisection with a Newton polish; complex pairs
-    come from Durand-Kerner iteration.  Every numeric root is certified by
-    its normalized residual, and numeric roots closer than the relative
-    cluster gap are merged.
+    Per square-free factor (Yun): rational roots are exact, read off the
+    factor's exact Sturm intervals; other real roots are certified by an
+    exact bracket of width at most ``tol``; complex pairs come from
+    Durand-Kerner iteration and are certified by the normalized residual
+    ``|p(z)| / (1 + max|coeff|)``, which every numeric root reports.
+    Numeric roots closer than the relative cluster gap are merged.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if p.degree == 0:
         return []
-    scale = 1 + max(abs(float(c)) for c in p.coeffs)
-    exact_roots, remainder = _rational_roots(list(p.coeffs))
+    exact_roots: List[Rational] = []
     numeric: List[Tuple[float, float, int]] = []  # (re, im, multiplicity)
-    if len(remainder) > 1:
-        for factor, mult in _square_free_decomposition(remainder):
-            real_spots = _isolate_real_roots(factor)
-            for lo, hi in real_spots:
-                numeric.append((_refine_real_root(factor, lo, hi, tol), 0.0, mult))
-            n_complex = len(factor) - 1 - len(real_spots)
-            if n_complex:
-                try:
-                    approx = _durand_kerner(factor, tol, iter_cap)
-                except NonConvergenceError as err:
-                    raise NonConvergenceError(
-                        str(err),
-                        partial=[Eigenvalue.from_exact(r) for r in exact_roots],
-                    ) from None
-                complex_ones = sorted(
-                    approx, key=lambda z: abs(z.imag), reverse=True
-                )[:n_complex]
-                paired = [z for z in complex_ones if z.imag > 0]
-                for z in paired:
-                    partner = min(
-                        (w for w in complex_ones if w.imag < 0),
-                        key=lambda w: abs(w - z.conjugate()),
-                    )
-                    re = (z.real + partner.real) / 2
-                    im = (z.imag - partner.imag) / 2
-                    numeric.append((re, im, mult))
-                    numeric.append((re, -im, mult))
+    for factor, mult in _square_free_decomposition(p.coeffs):
+        ints = _primitive(factor)
+        chain = _sturm_chain(ints, _primitive(_poly_deriv(ints)))
+        rational, intervals = _isolate_real_roots(chain)
+        n_complex = len(factor) - 1 - len(rational) - len(intervals)
+        for a, b, k in intervals:
+            found = _refine_real_root(chain, a, b, k, tol)
+            if isinstance(found, Fraction):
+                rational.append(found)
+            else:
+                numeric.append((_newton_polish(factor, *found), 0.0, mult))
+        exact_roots.extend(r for r in rational for _ in range(mult))
+        if n_complex:
+            rest = factor
+            for r in rational:
+                rest, _ = _poly_divmod(rest, [-r, Fraction(1)])
+            try:
+                approx = _durand_kerner(rest, tol, iter_cap)
+            except NonConvergenceError as err:
+                raise NonConvergenceError(
+                    str(err),
+                    partial=[Eigenvalue.from_exact(r) for r in sorted(exact_roots)],
+                ) from None
+            complex_ones = sorted(approx, key=lambda z: abs(z.imag), reverse=True)[:n_complex]
+            paired = [z for z in complex_ones if z.imag > 0]
+            for z in paired:
+                partner = min(
+                    (w for w in complex_ones if w.imag < 0),
+                    key=lambda w: abs(w - z.conjugate()),
+                )
+                re = (z.real + partner.real) / 2
+                im = (z.imag - partner.imag) / 2
+                numeric.append((re, im, mult))
+                numeric.append((re, -im, mult))
     numeric = _merge_clusters(numeric)
     out = [Eigenvalue.from_exact(r) for r in sorted(exact_roots)]
+    # float() of a large coefficient overflows; only numeric roots need it
+    scale = 1 + max(abs(float(c)) for c in p.coeffs) if numeric else 1.0
     for re, im, mult in sorted(numeric, key=lambda t: (t[0], t[1])):
         residual = abs(p.eval_complex(complex(re, im))) / scale
-        if residual > tol:
+        if im and residual > tol:
             raise NonConvergenceError(
                 f"root {re}+{im}j failed residual certification "
                 f"({residual:.3e} > {tol:.3e})",
@@ -586,8 +582,9 @@ def eigenvector(
 
     Exact eigenvalues give the exact rational nullspace, each basis vector
     normalized so its highest-index nonzero entry is 1 (leading polynomial
-    coefficient).  Numeric eigenvalues use inverse iteration and the result
-    is checked against ``||Mv - ev v|| <= 10 * tol``.
+    coefficient).  Numeric eigenvalues use inverse iteration and the unit
+    result is checked by its backward error,
+    ``||Mv - ev v|| <= 10 * tol * (1 + ||M||_F)``.
     """
     n = len(m)
     if ev.is_exact:
@@ -609,6 +606,7 @@ def eigenvector(
         eye = eye.astype(complex)
     v = np.ones(n, dtype=a.dtype) / math.sqrt(n)
     shift = lam if ev.im else ev.re
+    bound = 10 * tol * (1 + np.linalg.norm(a))
     for _ in range(50):
         try:
             w = np.linalg.solve(a - shift * eye, v)
@@ -620,7 +618,7 @@ def eigenvector(
             shift = shift * (1 + 1e-13) + 1e-300
             continue
         v = w / norm
-        if np.linalg.norm(a @ v - lam * v) <= 10 * tol:
+        if np.linalg.norm(a @ v - lam * v) <= bound:
             return [tuple(v.tolist())]
     raise NonConvergenceError(
         f"inverse iteration failed to certify an eigenvector at {lam}"

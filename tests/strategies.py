@@ -25,3 +25,16 @@ def weyl_elements(max_degree: int = 4, max_terms: int = 4) -> st.SearchStrategy:
         rationals(),
     )
     return st.builds(WeylElement, st.lists(term, min_size=0, max_size=max_terms))
+
+
+def rational_root_multisets(
+    max_roots: int = 3, max_den: int = 10**6, max_mult: int = 2
+) -> st.SearchStrategy:
+    """Distinct rationals (zero drawn often), each with a multiplicity."""
+    root = st.one_of(st.just(Fraction(0)), rationals(max_den, max_den))
+    return st.lists(
+        st.tuples(root, st.integers(1, max_mult)),
+        min_size=1,
+        max_size=max_roots,
+        unique_by=lambda pair: pair[0],
+    )

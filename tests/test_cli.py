@@ -305,3 +305,31 @@ def test_numeric_non_convergence_exits_4():
     )
     assert code == 4
     assert "converge" in payload["diagnostics"][0]
+
+
+@pytest.mark.parametrize(
+    "op, binds, n",
+    [
+        ("sextic", ("alpha=1", "beta=1", "n=8"), 8),
+        ("sextic", ("alpha=1", "beta=1", "n=10"), 10),
+        ("lame", ("m=2", "d=1", "n=10"), 10),
+        ("lame", ("m=10000", "d=1", "n=3"), 3),
+    ],
+)
+def test_correct_numeric_spectra_are_certified(op, binds, n):
+    # real roots are certified by their exact bracket (not a float residual)
+    # and eigenvectors by a backward error relative to the matrix norm
+    argv = ["spectrum", "--op", op, "--n", str(n)]
+    for bind in binds:
+        argv += ["--bind", bind]
+    code, payload = run_json(*argv)
+    assert code == 0
+    pairs = payload["result"]["eigenpairs"]
+    assert len(pairs) == n + 1
+    assert all(p["eigenvalue"]["im"] == 0 for p in pairs)
+
+
+def test_float_overflow_exits_4():
+    code, payload = run_json("spectrum", "--expr", "1" + "0" * 400 + "*b*a + a", "--n", "1")
+    assert code == 4
+    assert "too large" in payload["diagnostics"][0]

@@ -1,14 +1,18 @@
 """Spectra tests: restriction, exact characteristic polynomials, roots,
 eigenvectors and cross-realization isospectrality."""
 
+import io
 import math
+import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fockspec.catalog import hermite, laguerre, lame, number, sextic
+from fockspec.cli import main as cli_main
 from fockspec.realizations import ComplexPlane, DeltaLattice, Differential, QLattice
 from fockspec.solvability import es_diagonal
 from fockspec.spectra import (
@@ -25,7 +29,7 @@ from fockspec.spectra import (
 )
 from fockspec.weyl import make
 
-from strategies import weyl_elements
+from strategies import rational_root_multisets, weyl_elements
 
 HERMITE = hermite().element
 
@@ -197,6 +201,79 @@ def test_sum_and_product_of_roots_match_trace_and_determinant():
     assert p.real == pytest.approx(det, rel=1e-8)
 
 
+def _poly_from_roots(rational_roots, quadratic):
+    """Monic coefficients (ascending) of prod (t - r)^m times ``quadratic``."""
+    coeffs = list(quadratic)
+    for r, mult in rational_roots:
+        for _ in range(mult):
+            coeffs = [F(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= r * coeffs[i + 1]
+    return CharPoly(tuple(coeffs))
+
+
+# irreducible over Q: a complex pair or a pair of real surds, all |z| <= 2
+QUADRATICS = {
+    (F(1), F(0), F(1)): [complex(0, -1), complex(0, 1)],
+    (F(1), F(1), F(1)): [complex(-0.5, -math.sqrt(3) / 2), complex(-0.5, math.sqrt(3) / 2)],
+    (F(-2), F(0), F(1)): [-math.sqrt(2), math.sqrt(2)],
+    (F(-1), F(-1), F(1)): [(1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2],
+}
+
+
+@given(rational_root_multisets(), st.sampled_from(sorted(QUADRATICS)))
+@example([(F(0), 2), (F(999999, 1000000), 1), (F(1), 2)], (F(-2), F(0), F(1)))
+@settings(max_examples=60)
+def test_rational_roots_are_extracted_exactly(rational_roots, quadratic):
+    evs = roots(_poly_from_roots(rational_roots, quadratic))
+    expected = sorted(r for r, mult in rational_roots for _ in range(mult))
+    assert [e.exact for e in evs if e.is_exact] == expected
+    numeric = [complex(e.re, e.im) for e in evs if not e.is_exact]
+    assert len(numeric) == 2
+    for z, want in zip(sorted(numeric, key=lambda z: (z.real, z.imag)), QUADRATICS[quadratic]):
+        assert abs(z - want) <= 1e-9
+
+
+def test_large_semiprime_roots_are_exact():
+    # (t - 1000003)(t - 1000033): the constant term is a product of two
+    # primes above 10^6
+    evs = roots(CharPoly((F(1000003 * 1000033), F(-(1000003 + 1000033)), F(1))))
+    assert [e.exact for e in evs] == [1000003, 1000033]
+
+
+def test_hermite_24_roots_exact_and_fast():
+    cp = char_poly(restrict(HERMITE, Differential(), 24))
+    start = time.perf_counter()
+    evs = roots(cp)
+    assert time.perf_counter() - start < 3.0
+    assert [e.exact for e in evs] == [F(k) for k in range(25)]
+
+
+def test_lame_with_tiny_rational_parameter_is_fast():
+    # a 10^-9 modulus gives constant and leading coefficients with tens of
+    # thousands of divisors; the spectrum has no rational root at all
+    start = time.perf_counter()
+    code = cli_main(
+        ["spectrum", "--op", "lame", "--bind", "m=1/1000000000",
+         "--bind", "d=1", "--bind", "n=3", "--n", "3"],
+        out=io.StringIO(),
+    )
+    assert code == 0
+    assert time.perf_counter() - start < 3.0
+
+
+def test_real_roots_certified_by_bracket_not_residual():
+    # ill-conditioned characteristic polynomials whose correct real roots
+    # have float residuals above the tolerance
+    for element, n in ((sextic(1, 1, 8).element, 8), (lame(2, 1, 10).element, 10)):
+        cp = char_poly(restrict(element, Differential(), n))
+        evs = roots(cp)
+        assert len(evs) == n + 1 and all(not e.is_exact and e.im == 0 for e in evs)
+        for e in evs:  # a sign change within 1e-9 of every reported root
+            lo, hi = F(e.re) - F(1, 10**9), F(e.re) + F(1, 10**9)
+            assert cp(lo) * cp(hi) < 0
+
+
 # -- eigenvectors ----------------------------------------------------------------
 
 
@@ -244,6 +321,18 @@ def test_numeric_eigenvector_certified():
             for i in range(2)
         )
         assert residual <= 1e-11
+
+
+def test_numeric_eigenvector_bound_is_relative_to_the_matrix():
+    # entries near 10^5: no float64 vector meets an absolute 1e-11 bound
+    element = lame(10**4, 1, 3).element
+    sp = spectrum(element, 3, Differential())
+    m = np.array([[float(x) for x in row] for row in restrict(element, Differential(), 3)])
+    bound = 10 * 1e-12 * (1 + np.linalg.norm(m))
+    assert len(sp.eigenpairs) == 4
+    for ev, vec in sp.eigenpairs:
+        v = np.array(vec)
+        assert np.linalg.norm(m @ v - complex(ev.re, ev.im) * v) <= bound
 
 
 def test_eigenvector_rejects_non_eigenvalue():
