@@ -14,8 +14,12 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
-from .solvability import QESCoeffs, heun_constraint_residual
+from .solvability import QES_TERMS, QESCoeffs
 from .weyl import Rational, RationalLike, WeylElement, as_rational, make, multiply, scale
+
+
+#: QESCoeffs fields of the cubic family: all but the quartic top a4, b3, d2.
+HEUN_COEFFS = tuple(name for name in QES_TERMS if name not in ("a4", "b3", "d2"))
 
 
 class Family(enum.Enum):
@@ -75,15 +79,11 @@ def heun(coeffs: QESCoeffs, n: int) -> OpSpec:
     """
     if coeffs.a4 or coeffs.b3 or coeffs.d2:
         raise ValueError("cubic-family constructor requires a4 = b3 = d2 = 0")
-    residual = heun_constraint_residual(coeffs.a3, coeffs.b2, coeffs.d1, n)
+    residual = coeffs.c1(n)
     if residual:
         raise ConstraintViolationError(residual)
-    params = {
-        "a3": coeffs.a3, "a2": coeffs.a2, "a1": coeffs.a1, "a0": coeffs.a0,
-        "b2": coeffs.b2, "b1": coeffs.b1, "b0": coeffs.b0,
-        "d1": coeffs.d1, "d0": coeffs.d0, "n": Fraction(n),
-    }
-    return OpSpec("heun", coeffs.element(), params, n, Family.QES)
+    params = {name: getattr(coeffs, name) for name in HEUN_COEFFS}
+    return OpSpec("heun", coeffs.element(), {**params, "n": Fraction(n)}, n, Family.QES)
 
 
 def lame(m: RationalLike, d: RationalLike, n: int) -> OpSpec:
@@ -179,11 +179,8 @@ class CatalogEntry:
 
 
 def _build_heun(**binds: Rational) -> OpSpec:
-    n = binds.pop("n")
-    if n.denominator != 1 or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    coeffs = QESCoeffs(**{k: v for k, v in binds.items()})
-    return heun(coeffs, int(n))
+    n = _int_degree(binds.pop("n"))
+    return heun(QESCoeffs(**binds), n)
 
 
 def _int_degree(value: Rational, name: str = "n") -> int:
@@ -201,7 +198,7 @@ CATALOG: Mapping[str, CatalogEntry] = MappingProxyType({
     ),
     "heun": CatalogEntry(
         "heun",
-        ("a3", "a2", "a1", "a0", "b2", "b1", "b0", "d1", "d0", "n"),
+        HEUN_COEFFS + ("n",),
         "cubic-family operator Q3(b)*a^2 + Q2(b)*a + Q1(b)",
         _build_heun,
     ),

@@ -55,6 +55,8 @@ EXIT_BINDING = 2
 EXIT_LEAKAGE = 3
 EXIT_NUMERIC = 4
 
+FORMATS = ("json", "text")
+
 
 @dataclass
 class RunConfig:
@@ -71,17 +73,11 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.degree_cap < 1 or self.iter_cap < 1:
             raise ValueError("caps must be at least 1")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {self.fmt!r}")
 
     def as_json(self) -> Dict:
-        return {
-            "degree_cap": self.degree_cap,
-            "tol": self.tol,
-            "iter_cap": self.iter_cap,
-            "format": self.fmt,
-            "deltas": [str(d) for d in self.deltas],
-            "qs": [str(q) for q in self.qs],
-            "fibers": list(self.fibers),
-        }
+        return {key: dump(getattr(self, field)) for key, field, _, dump in _CONFIG_KEYS}
 
 
 class CliError(Exception):
@@ -104,6 +100,27 @@ def _rat(text: str) -> Fraction:
 
 def _rat_list(text: str) -> Tuple[Fraction, ...]:
     return tuple(_rat(part) for part in text.split(",") if part.strip())
+
+
+def _int_list(text: str) -> Tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+def _str_list(values: Sequence) -> List[str]:
+    return [str(v) for v in values]
+
+
+#: Config-file key (also the flag dest and the JSON key), RunConfig field,
+#: parser of the text, and JSON form of the value.
+_CONFIG_KEYS = (
+    ("degree_cap", "degree_cap", int, int),
+    ("tol", "tol", float, float),
+    ("iter_cap", "iter_cap", int, int),
+    ("format", "fmt", str, str),
+    ("deltas", "deltas", _rat_list, _str_list),
+    ("qs", "qs", _rat_list, _str_list),
+    ("fibers", "fibers", _int_list, list),
+)
 
 
 def _parse_bindings(pairs: Sequence[str]) -> Dict[str, Rational]:
@@ -145,16 +162,16 @@ def _resolve_operator(args, config: RunConfig) -> Tuple[WeylElement, Dict, Optio
     raise CliError("one of --expr or --op is required", EXIT_USAGE)
 
 
-def _realization_from_args(args, config: RunConfig) -> Tuple[Realization, int]:
+def _realization_from_args(args, config: RunConfig) -> Realization:
     kind = args.realization
     if kind == "differential":
-        return Differential(), 0
+        return Differential()
     if kind == "delta":
-        return DeltaLattice(_rat(args.delta)), 0
+        return DeltaLattice(_rat(args.delta))
     if kind == "q":
-        return QLattice(_rat(args.q)), 0
+        return QLattice(_rat(args.q))
     if kind == "complex":
-        return ComplexPlane(), args.fiber_m
+        return ComplexPlane().fiber(args.fiber_m)
     raise CliError(f"unknown realization {kind!r}", EXIT_USAGE)
 
 
@@ -221,15 +238,16 @@ def _cmd_classify(args, config: RunConfig) -> Tuple[Dict, Dict]:
     return op_json, result
 
 
+def _char_poly_json(cp) -> Dict:
+    return {"text": cp.text(), "coeffs": [str(c) for c in cp.coeffs]}
+
+
 def _spectrum_json(spec) -> Dict:
     return {
         "operator": spec.operator,
         "realization": spec.realization,
         "degree": spec.degree,
-        "char_poly": {
-            "text": spec.char_poly.text(),
-            "coeffs": [str(c) for c in spec.char_poly.coeffs],
-        },
+        "char_poly": _char_poly_json(spec.char_poly),
         "eigenpairs": [
             {"eigenvalue": _eigenvalue_json(ev), "eigenvector": _vector_json(vec)}
             for ev, vec in spec.eigenpairs
@@ -239,7 +257,7 @@ def _spectrum_json(spec) -> Dict:
 
 def _cmd_spectrum(args, config: RunConfig) -> Tuple[Dict, Dict]:
     element, op_json, spec = _resolve_operator(args, config)
-    realization, fiber_m = _realization_from_args(args, config)
+    realization = _realization_from_args(args, config)
     label = op_json.get("name") or op_json.get("expr") or ""
     sp = spectrum(
         element,
@@ -248,7 +266,6 @@ def _cmd_spectrum(args, config: RunConfig) -> Tuple[Dict, Dict]:
         operator_label=label,
         tol=config.tol,
         iter_cap=config.iter_cap,
-        fiber_m=fiber_m,
     )
     return op_json, _spectrum_json(sp)
 
@@ -261,10 +278,7 @@ def _cmd_isospectral(args, config: RunConfig) -> Tuple[Dict, Dict]:
     report = isospectral_check(element, args.n, realizations, fiber_ms=config.fibers)
     result = {
         "degree": report.degree,
-        "char_polys": [
-            {"realization": label, "text": cp.text(), "coeffs": [str(c) for c in cp.coeffs]}
-            for label, cp in report.entries
-        ],
+        "char_polys": [{"realization": label, **_char_poly_json(cp)} for label, cp in report.entries],
         "equal": report.all_equal,
     }
     return op_json, result
@@ -305,39 +319,16 @@ def _load_config_file(path: str) -> Dict[str, str]:
 
 
 def _build_config(args) -> RunConfig:
+    """Defaults, overridden by the config file, overridden by flags."""
     file_values = _load_config_file(args.config) if args.config else {}
-    config = RunConfig()
-    if "degree_cap" in file_values:
-        config.degree_cap = int(file_values["degree_cap"])
-    if "tol" in file_values:
-        config.tol = float(file_values["tol"])
-    if "iter_cap" in file_values:
-        config.iter_cap = int(file_values["iter_cap"])
-    if "format" in file_values:
-        config.fmt = file_values["format"]
-    if "deltas" in file_values:
-        config.deltas = _rat_list(file_values["deltas"])
-    if "qs" in file_values:
-        config.qs = _rat_list(file_values["qs"])
-    if "fibers" in file_values:
-        config.fibers = tuple(int(x) for x in file_values["fibers"].split(",") if x.strip())
-    # flags override the file
-    if args.degree_cap is not None:
-        config.degree_cap = args.degree_cap
-    if args.tol is not None:
-        config.tol = args.tol
-    if args.iter_cap is not None:
-        config.iter_cap = args.iter_cap
-    if args.format is not None:
-        config.fmt = args.format
-    if getattr(args, "deltas", None):
-        config.deltas = _rat_list(args.deltas)
-    if getattr(args, "qs", None):
-        config.qs = _rat_list(args.qs)
-    if getattr(args, "fibers", None):
-        config.fibers = tuple(int(x) for x in args.fibers.split(",") if x.strip())
-    config.__post_init__()
-    return config
+    values = {}
+    for key, field, parse, _ in _CONFIG_KEYS:
+        text = getattr(args, key, None)
+        if text is None:
+            text = file_values.get(key)
+        if text is not None:
+            values[field] = parse(text)
+    return RunConfig(**values)
 
 
 def _emit_text(command: str, result: Dict, out) -> None:
@@ -370,7 +361,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree-cap", dest="degree_cap", type=int)
     parser.add_argument("--tol", type=float)
     parser.add_argument("--iter-cap", dest="iter_cap", type=int)
-    parser.add_argument("--format", choices=("json", "text"))
+    parser.add_argument("--format", choices=FORMATS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_operator_args(p, with_op=True):
@@ -419,33 +410,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_arg_parser()
-    diagnostics: List[str] = []
-    command = "?"
+    command, detail = "?", {}
     try:
         args = parser.parse_args(argv)
         command = args.command
         config = _build_config(args)
         op_json, result = args.handler(args, config)
-        envelope = {
-            "command": command,
-            "config": config.as_json(),
-            "operator": op_json,
-            "result": result,
-            "diagnostics": diagnostics,
-        }
         if config.fmt == "text":
             _emit_text(command, result, out)
         else:
-            print(json.dumps(envelope, indent=2), file=out)
+            _emit_json(command, config.as_json(), op_json, result, [], out)
         return EXIT_OK
     except CliError as err:
-        _emit_error(command, str(err), err.code, out)
-        return err.code
+        code, failure = err.code, err
     except (ValueError, DegreeOverflowError) as err:
         # bad user input reaching a library precondition (tolerances,
         # realization parameters, exponent caps)
-        _emit_error(command, str(err), EXIT_USAGE, out)
-        return EXIT_USAGE
+        code, failure = EXIT_USAGE, err
     except LeakageError as err:
         overflow = getattr(err.overflow, "coeffs", None)
         detail = {
@@ -454,22 +435,23 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 "overflow": [str(c) for c in overflow] if overflow is not None else str(err.overflow),
             }
         }
-        _emit_error(command, str(err), EXIT_LEAKAGE, out, detail)
-        return EXIT_LEAKAGE
+        code, failure = EXIT_LEAKAGE, err
     except (NonConvergenceError, OverflowError) as err:
         # OverflowError: a number too large for a float (a root or a
         # coefficient) reached the numeric stage
-        _emit_error(command, str(err), EXIT_NUMERIC, out)
-        return EXIT_NUMERIC
+        code, failure = EXIT_NUMERIC, err
+    _emit_json(command, {}, None, detail, [str(failure)], out)
+    return code
 
 
-def _emit_error(command: str, message: str, code: int, out, detail: Optional[Dict] = None) -> None:
+def _emit_json(command: str, config: Dict, operator: Optional[Dict], result: Dict,
+               diagnostics: List[str], out) -> None:
     envelope = {
         "command": command,
-        "config": {},
-        "operator": None,
-        "result": detail or {},
-        "diagnostics": [message],
+        "config": config,
+        "operator": operator,
+        "result": result,
+        "diagnostics": diagnostics,
     }
     print(json.dumps(envelope, indent=2), file=out)
 

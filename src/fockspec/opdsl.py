@@ -27,6 +27,7 @@ from .weyl import (
     canonical_text,
     make,
     multiply,
+    power,
     scale,
 )
 
@@ -100,6 +101,9 @@ class Gen:
 OpAst = Union[Sum, Product, Power, Neg, RationalLit, Param, Gen]
 
 _SYMBOLS = "+-*^()/"
+
+#: ``(b-exponent, a-exponent)`` of each generator name; ``L0`` is ``b*a``.
+_GENERATORS = {"a": (0, 1), "b": (1, 0), "L0": (1, 1)}
 
 
 def _tokenize(text: str):
@@ -224,7 +228,7 @@ class _Parser:
         if kind == "ident":
             self.advance()
             span = (pos, pos + len(text))
-            if text in ("a", "b", "L0"):
+            if text in _GENERATORS:
                 return Gen(text, span)
             return Param(text, span)
         if kind == "(":
@@ -263,11 +267,7 @@ def lower(
                 out = multiply(out, go(part), cap)
             return out
         if isinstance(node, Power):
-            base = go(node.base)
-            out = WeylElement.identity()
-            for _ in range(node.exponent):
-                out = multiply(out, base, cap)
-            return out
+            return power(go(node.base), node.exponent, cap)
         if isinstance(node, Neg):
             return scale(-1, go(node.part))
         if isinstance(node, RationalLit):
@@ -277,11 +277,7 @@ def lower(
                 raise UnboundParameterError(node.name, node.span)
             return WeylElement({(0, 0): binds[node.name]})
         if isinstance(node, Gen):
-            if node.which == "a":
-                return make(1, 0, 1, cap)
-            if node.which == "b":
-                return make(1, 1, 0, cap)
-            return make(1, 1, 1, cap)  # L0 = b*a
+            return make(1, *_GENERATORS[node.which], cap)
         raise TypeError(f"unexpected AST node {node!r}")
 
     return go(ast)

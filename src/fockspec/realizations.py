@@ -7,8 +7,11 @@ Four realizations of ``[a, b] = 1`` are provided:
 * ``QLattice``:       a x^n = {n}_q x^(n-1),    b x^n = (n+1)/{n+1}_q x^(n+1)
 * ``ComplexPlane``:   a = d/dzbar,              b = -d/dz + zbar (on BiPoly)
 
-with ``{n}_q = 1 + q + ... + q^(n-1)``.  The univariate realizations act on
-:class:`UniPoly` in the monomial basis; the complex plane acts on
+with ``{n}_q = 1 + q + ... + q^(n-1)``.  Each realization carries its own
+generator actions, label and matrix assembly.  The univariate realizations
+act on :class:`UniPoly` in the monomial basis; a polynomial is the Fock
+vector of its coefficients (``x^k`` for ``b^k|0>``), so ``UniPoly`` is
+:class:`~fockspec.weyl.FockVector`.  The complex plane acts on
 :class:`BiPoly` and is exposed only through fiber matrices over a vacuum
 ``z^m``.  Everything is exact rational arithmetic.
 """
@@ -17,157 +20,48 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from types import MappingProxyType
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Tuple
 
 from .weyl import (
     FlagMatrix,
     FockVector,
     Rational,
     RationalLike,
+    SparseTerms,
     WeylElement,
     as_rational,
+    flag_matrix,
 )
+
+#: A polynomial in x, ascending coefficients: the Fock vector type itself.
+UniPoly = FockVector
 
 
 class SingularBasisError(Exception):
     """Fiber basis failed its independence check (an implementation bug)."""
 
 
-@dataclass(frozen=True)
-class UniPoly:
-    """Polynomial in x with exact rational coefficients, ascending order."""
-
-    coeffs: Tuple[Rational, ...] = ()
-
-    def __post_init__(self):
-        cs = tuple(as_rational(c) for c in self.coeffs)
-        while cs and not cs[-1]:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def monomial(cls, n: int, coeff: RationalLike = 1) -> "UniPoly":
-        c = as_rational(coeff)
-        return cls((Fraction(0),) * n + (c,)) if c else cls()
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((Fraction(1),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, d: int) -> Rational:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(tuple(self.coeff(d) + other.coeff(d) for d in range(n)))
-
-    def __neg__(self) -> "UniPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def scale(self, c: RationalLike) -> "UniPoly":
-        c = as_rational(c)
-        if not c:
-            return UniPoly()
-        return UniPoly(tuple(c * v for v in self.coeffs))
-
-    def times_x(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        return UniPoly((Fraction(0),) + self.coeffs)
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(d * c for d, c in enumerate(self.coeffs))[1:])
-
-    def shifted(self, h: RationalLike) -> "UniPoly":
-        """Exact binomial expansion of ``f(x + h)``."""
-        h = as_rational(h)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            power = Fraction(1)
-            for r in range(d, -1, -1):
-                out[r] += c * comb(d, d - r) * power
-                power *= h
-        return UniPoly(tuple(out))
-
-    def __call__(self, x: RationalLike) -> Rational:
-        x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-class BiPoly:
+class BiPoly(SparseTerms):
     """Polynomial in (z, zbar): a map from ``(z-exp, zbar-exp)`` to coefficient."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Union[Mapping, Iterable, None] = None):
-        acc: dict[Tuple[int, int], Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        for (p, q), c in items:
-            p, q = int(p), int(q)
-            if p < 0 or q < 0:
-                raise ValueError(f"negative exponent ({p}, {q})")
-            c = as_rational(c)
-            if c:
-                key = (p, q)
-                acc[key] = acc.get(key, Fraction(0)) + c
-        self._terms = {k: v for k, v in acc.items() if v}
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, p: int, q: int, coeff: RationalLike = 1) -> "BiPoly":
         return cls({(p, q): coeff})
 
-    @property
-    def terms(self) -> Mapping[Tuple[int, int], Rational]:
-        return MappingProxyType(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coeff(self, p: int, q: int) -> Rational:
-        return self._terms.get((p, q), Fraction(0))
+        return self.coefficient(p, q)
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + c
-        return BiPoly(acc)
+        return BiPoly([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + other.scale(-1)
 
     def scale(self, c: RationalLike) -> "BiPoly":
         c = as_rational(c)
-        if not c:
-            return BiPoly()
         return BiPoly({key: c * v for key, v in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -176,102 +70,6 @@ class BiPoly:
             f"{c}*z^{p}*zbar^{q}" for (p, q), c in sorted(self._terms.items())
         )
         return f"BiPoly({body})"
-
-
-# ---------------------------------------------------------------------------
-# Realization identifiers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Differential:
-    """a = d/dx, b = x."""
-
-
-@dataclass(frozen=True)
-class DeltaLattice:
-    """Uniform-lattice pair: forward difference with step delta, b f = x f(x - delta)."""
-
-    delta: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", as_rational(self.delta))
-        if not self.delta:
-            raise ValueError("lattice spacing delta must be nonzero")
-
-
-@dataclass(frozen=True)
-class QLattice:
-    """Exponential-lattice pair built from the dilation x -> q x."""
-
-    q: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_rational(self.q))
-        if self.q in (0, 1):
-            raise ValueError("q must differ from 0 and 1")
-
-
-@dataclass(frozen=True)
-class ComplexPlane:
-    """a = d/dzbar, b = -d/dz + zbar, acting on BiPoly."""
-
-
-Realization = Union[Differential, DeltaLattice, QLattice, ComplexPlane]
-
-
-def realization_label(r: Realization) -> str:
-    if isinstance(r, Differential):
-        return "differential"
-    if isinstance(r, DeltaLattice):
-        return f"delta={r.delta}"
-    if isinstance(r, QLattice):
-        return f"q={r.q}"
-    return "complex"
-
-
-def q_number(n: int, q: Rational) -> Rational:
-    """{n}_q = 1 + q + ... + q^(n-1), by Horner sum (never via division)."""
-    acc = Fraction(0)
-    for _ in range(n):
-        acc = acc * q + 1
-    return acc
-
-
-def act_a(r: Realization, p: UniPoly) -> UniPoly:
-    """Apply the lowering generator of realization ``r`` to a polynomial."""
-    if isinstance(r, Differential):
-        return p.derivative()
-    if isinstance(r, DeltaLattice):
-        return (p.shifted(r.delta) - p).scale(1 / r.delta)
-    if isinstance(r, QLattice):
-        out = [Fraction(0)] * max(len(p.coeffs) - 1, 0)
-        for n, c in enumerate(p.coeffs):
-            if n and c:
-                out[n - 1] += c * q_number(n, r.q)
-        return UniPoly(tuple(out))
-    raise TypeError("the complex-plane realization acts on BiPoly, not UniPoly")
-
-
-def act_b(r: Realization, p: UniPoly) -> UniPoly:
-    """Apply the raising generator of realization ``r`` to a polynomial."""
-    if isinstance(r, Differential):
-        return p.times_x()
-    if isinstance(r, DeltaLattice):
-        return p.shifted(-r.delta).times_x()
-    if isinstance(r, QLattice):
-        out = [Fraction(0)] * (len(p.coeffs) + 1)
-        for n, c in enumerate(p.coeffs):
-            if not c:
-                continue
-            qn = q_number(n + 1, r.q)
-            if not qn:
-                raise ValueError(
-                    f"raising action undefined: {{{n + 1}}}_q = 0 for q = {r.q}"
-                )
-            out[n + 1] += c * Fraction(n + 1) / qn
-        return UniPoly(tuple(out))
-    raise TypeError("the complex-plane realization acts on BiPoly, not UniPoly")
 
 
 def complex_act_a(f: BiPoly) -> BiPoly:
@@ -283,14 +81,177 @@ def complex_act_a(f: BiPoly) -> BiPoly:
 
 def complex_act_b(f: BiPoly) -> BiPoly:
     """-d/dz + zbar: z^p zbar^q -> -p z^(p-1) zbar^q + z^p zbar^(q+1)."""
-    acc: dict[Tuple[int, int], Fraction] = {}
-    for (p, q), c in f.terms.items():
-        if p:
-            key = (p - 1, q)
-            acc[key] = acc.get(key, Fraction(0)) - p * c
-        key = (p, q + 1)
-        acc[key] = acc.get(key, Fraction(0)) + c
-    return BiPoly(acc)
+    return BiPoly(
+        [((p - 1, q), -p * c) for (p, q), c in f.terms.items() if p]
+        + [((p, q + 1), c) for (p, q), c in f.terms.items()]
+    )
+
+
+def q_number(n: int, q: Rational) -> Rational:
+    """{n}_q = 1 + q + ... + q^(n-1), by Horner sum (never via division)."""
+    acc = Fraction(0)
+    for _ in range(n):
+        acc = acc * q + 1
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Realizations
+# ---------------------------------------------------------------------------
+
+
+class Realization:
+    """A pair (a, b) with ``[a, b] = 1`` acting on a polynomial space.
+
+    Subclasses define ``act_a``, ``act_b`` and ``label``.
+    """
+
+    def apply(self, u: WeylElement, p):
+        """Image of ``p`` under ``u``: per term the a-factors act first
+        (rightmost in the normal form), then the b-factors."""
+        total = type(p)()
+        for (i, j), c in u.terms.items():
+            w = p
+            for _ in range(j):
+                w = self.act_a(w)
+            for _ in range(i):
+                w = self.act_b(w)
+            total = total + w.scale(c)
+        return total
+
+    def matrix(self, u: WeylElement, n_max: int) -> FlagMatrix:
+        """Matrix of ``u`` in the monomial basis ``{x^0 .. x^n_max}``, with
+        image coefficients above ``n_max`` recorded as leakage."""
+        return FlagMatrix.from_columns(
+            [self.apply(u, UniPoly.basis(k)).split(n_max) for k in range(n_max + 1)]
+        )
+
+    def fiber(self, m: int) -> "Realization":
+        """The space a spectrum is taken on; only the complex plane has one
+        per vacuum ``z^m``."""
+        return self
+
+
+@dataclass(frozen=True)
+class Differential(Realization):
+    """a = d/dx, b = x."""
+
+    label = "differential"
+
+    def act_a(self, p: UniPoly) -> UniPoly:
+        return p.derivative()
+
+    def act_b(self, p: UniPoly) -> UniPoly:
+        return p.times_x()
+
+    def matrix(self, u: WeylElement, n_max: int) -> FlagMatrix:
+        # x^k under (d/dx, x) is b^k|0>, so this is the Fock action; as in
+        # the other realizations the span is not bounded by the degree cap
+        return flag_matrix(u, n_max, cap=n_max) if n_max >= 0 else FlagMatrix((), {})
+
+
+@dataclass(frozen=True)
+class DeltaLattice(Realization):
+    """Uniform-lattice pair: forward difference with step delta, b f = x f(x - delta)."""
+
+    delta: Rational
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta", as_rational(self.delta))
+        if not self.delta:
+            raise ValueError("lattice spacing delta must be nonzero")
+
+    @property
+    def label(self) -> str:
+        return f"delta={self.delta}"
+
+    def act_a(self, p: UniPoly) -> UniPoly:
+        return (p.shifted(self.delta) - p).scale(1 / self.delta)
+
+    def act_b(self, p: UniPoly) -> UniPoly:
+        return p.shifted(-self.delta).times_x()
+
+
+@dataclass(frozen=True)
+class QLattice(Realization):
+    """Exponential-lattice pair built from the dilation x -> q x."""
+
+    q: Rational
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", as_rational(self.q))
+        if self.q in (0, 1):
+            raise ValueError("q must differ from 0 and 1")
+
+    @property
+    def label(self) -> str:
+        return f"q={self.q}"
+
+    def act_a(self, p: UniPoly) -> UniPoly:
+        out = [Fraction(0)] * max(len(p.coeffs) - 1, 0)
+        for n, c in enumerate(p.coeffs):
+            if n and c:
+                out[n - 1] += c * q_number(n, self.q)
+        return UniPoly(tuple(out))
+
+    def act_b(self, p: UniPoly) -> UniPoly:
+        out = [Fraction(0)] * (len(p.coeffs) + 1)
+        for n, c in enumerate(p.coeffs):
+            if not c:
+                continue
+            qn = q_number(n + 1, self.q)
+            if not qn:
+                raise ValueError(
+                    f"raising action undefined: {{{n + 1}}}_q = 0 for q = {self.q}"
+                )
+            out[n + 1] += c * Fraction(n + 1) / qn
+        return UniPoly(tuple(out))
+
+
+@dataclass(frozen=True)
+class ComplexPlane(Realization):
+    """a = d/dzbar, b = -d/dz + zbar, acting on BiPoly."""
+
+    label = "complex"
+    act_a = staticmethod(complex_act_a)
+    act_b = staticmethod(complex_act_b)
+
+    def matrix(self, u: WeylElement, n_max: int) -> FlagMatrix:
+        raise TypeError("use complex_fiber_matrix for the complex-plane realization")
+
+    def fiber(self, m: int) -> "ComplexFiber":
+        return ComplexFiber(m)
+
+
+@dataclass(frozen=True)
+class ComplexFiber(ComplexPlane):
+    """The complex plane on the fiber basis ``{b^k(z^m)}`` over one vacuum."""
+
+    m: int
+
+    @property
+    def label(self) -> str:
+        return f"complex m={self.m}"
+
+    def matrix(self, u: WeylElement, n_max: int) -> FlagMatrix:
+        return complex_fiber_matrix(u, self.m, n_max)
+
+    def fiber(self, m: int) -> "ComplexFiber":
+        return self
+
+
+def realization_label(r: Realization) -> str:
+    return r.label
+
+
+def act_a(r: Realization, p: UniPoly) -> UniPoly:
+    """Apply the lowering generator of realization ``r`` to a polynomial."""
+    return r.act_a(p)
+
+
+def act_b(r: Realization, p: UniPoly) -> UniPoly:
+    """Apply the raising generator of realization ``r`` to a polynomial."""
+    return r.act_b(p)
 
 
 # ---------------------------------------------------------------------------
@@ -298,66 +259,13 @@ def complex_act_b(f: BiPoly) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _apply_element_uni(u: WeylElement, r: Realization, p: UniPoly) -> UniPoly:
-    # a-factors act first (rightmost in the normal form), then b-factors.
-    total = UniPoly()
-    for (i, j), c in u.terms.items():
-        w = p
-        for _ in range(j):
-            w = act_a(r, w)
-            if w.is_zero:
-                break
-        if w.is_zero:
-            continue
-        for _ in range(i):
-            w = act_b(r, w)
-        total = total + w.scale(c)
-    return total
-
-
 def realize_matrix(u: WeylElement, r: Realization, n_max: int) -> FlagMatrix:
-    """Matrix of ``u`` in the monomial basis ``{x^0 .. x^n_max}``.
+    """Matrix of ``u`` on the degree-``n_max`` span of ``r`` (the monomial
+    basis ``{x^0 .. x^n_max}`` for a univariate realization).
 
-    Image coefficients of degree above ``n_max`` are recorded as leakage,
-    column by column.
+    Image parts beyond the span are recorded as leakage, column by column.
     """
-    if isinstance(r, ComplexPlane):
-        raise TypeError("use complex_fiber_matrix for the complex-plane realization")
-    size = n_max + 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    leakage: dict[int, FockVector] = {}
-    for k in range(size):
-        image = _apply_element_uni(u, r, UniPoly.monomial(k))
-        overflow: dict[int, Fraction] = {}
-        for d, c in enumerate(image.coeffs):
-            if not c:
-                continue
-            if d <= n_max:
-                rows[d][k] = c
-            else:
-                overflow[d] = c
-        if overflow:
-            top = max(overflow)
-            leakage[k] = FockVector(
-                tuple(overflow.get(d, Fraction(0)) for d in range(top + 1))
-            )
-    return FlagMatrix(tuple(tuple(row) for row in rows), leakage)
-
-
-def _apply_element_complex(u: WeylElement, f: BiPoly) -> BiPoly:
-    total = BiPoly()
-    for (i, j), c in u.terms.items():
-        w = f
-        for _ in range(j):
-            w = complex_act_a(w)
-            if w.is_zero:
-                break
-        if w.is_zero:
-            continue
-        for _ in range(i):
-            w = complex_act_b(w)
-        total = total + w.scale(c)
-    return total
+    return r.matrix(u, n_max)
 
 
 def complex_fiber_matrix(u: WeylElement, m: int, n_max: int) -> FlagMatrix:
@@ -379,18 +287,15 @@ def complex_fiber_matrix(u: WeylElement, m: int, n_max: int) -> FlagMatrix:
             raise SingularBasisError(
                 f"fiber basis element {k} lost its marker monomial z^{m} zbar^{k}"
             )
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    leakage: dict[int, BiPoly] = {}
+    columns = []
     for k in range(size):
-        w = _apply_element_complex(u, basis[k])
+        w, coords = ComplexPlane().apply(u, basis[k]), [Fraction(0)] * size
         for r in range(n_max, -1, -1):
-            c = w.coeff(m, r)
-            if c:
-                rows[r][k] = c
-                w = w - basis[r].scale(c)
-        if not w.is_zero:
-            leakage[k] = w
-    return FlagMatrix(tuple(tuple(row) for row in rows), leakage)
+            coords[r] = w.coeff(m, r)
+            if coords[r]:
+                w = w - basis[r].scale(coords[r])
+        columns.append((coords, w))
+    return FlagMatrix.from_columns(columns)
 
 
 def quasi_monomial_change(delta: RationalLike, n_max: int) -> Tuple[Tuple[Rational, ...], ...]:

@@ -4,7 +4,10 @@ An element is *exactly solvable* when it preserves the whole degree
 filtration ``span{b^0|0>, ..., b^n|0>}`` for every n; in normal form this is
 the termwise condition ``b-exponent <= a-exponent``.  A *quasi-exactly
 solvable* element preserves one such span of a fixed degree n.  Invariance
-is always decided here by direct leakage testing on the flag matrix; the
+is always decided here by the direct leakage test: column k of the degree-n
+flag matrix leaks iff ``fock_apply(u, k)`` has degree above n, so the span
+is invariant iff the running maximum of those degrees over k <= n is at
+most n, and one pass over the images decides every n at once.  The
 closed-form coefficient constraints are provided alongside and checked
 against the scan rather than trusted.
 """
@@ -22,8 +25,8 @@ from .weyl import (
     RationalLike,
     WeylElement,
     as_rational,
-    falling,
-    flag_matrix,
+    fock_apply,
+    fock_columns,
 )
 
 #: Default bound for the invariant-degree scan; QES degrees in practice are
@@ -33,6 +36,14 @@ DEFAULT_SCAN_BOUND = 32
 
 class NotExactlySolvableError(ValueError):
     """A diagonal eigenvalue was requested for a non-flag-preserving element."""
+
+
+#: The ``(b-exponent, a-exponent)`` term behind each QESCoeffs field.
+QES_TERMS = {
+    "a4": (4, 2), "a3": (3, 2), "a2": (2, 2), "a1": (1, 2), "a0": (0, 2),
+    "b3": (3, 1), "b2": (2, 1), "b1": (1, 1), "b0": (0, 1),
+    "d2": (2, 0), "d1": (1, 0), "d0": (0, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -63,23 +74,21 @@ class QESCoeffs:
 
     def element(self, cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:
         """The normal-ordered element with these coefficients."""
-        terms = {
-            (4, 2): self.a4, (3, 2): self.a3, (2, 2): self.a2,
-            (1, 2): self.a1, (0, 2): self.a0,
-            (3, 1): self.b3, (2, 1): self.b2, (1, 1): self.b1, (0, 1): self.b0,
-            (2, 0): self.d2, (1, 0): self.d1, (0, 0): self.d0,
-        }
-        return WeylElement(terms)
+        return WeylElement({key: getattr(self, name) for name, key in QES_TERMS.items()})
+
+    def c2(self, k: int) -> Rational:
+        """Coefficient of degree k+2 in the image of ``b^k|0>``."""
+        return self.a4 * k * (k - 1) + self.b3 * k + self.d2
+
+    def c1(self, k: int) -> Rational:
+        """Coefficient of degree k+1 in the image of ``b^k|0>``."""
+        return self.a3 * k * (k - 1) + self.b2 * k + self.d1
 
 
 def qes_coeffs_of(u: WeylElement) -> Optional[QESCoeffs]:
     """Read coefficients back off a normal form, or None if it does not fit
     the ``Q4 a^2 + Q3 a + Q2`` shape."""
-    names = {
-        (4, 2): "a4", (3, 2): "a3", (2, 2): "a2", (1, 2): "a1", (0, 2): "a0",
-        (3, 1): "b3", (2, 1): "b2", (1, 1): "b1", (0, 1): "b0",
-        (2, 0): "d2", (1, 0): "d1", (0, 0): "d0",
-    }
+    names = {key: name for name, key in QES_TERMS.items()}
     values = {}
     for key, c in u.terms.items():
         name = names.get(key)
@@ -116,18 +125,15 @@ def is_exactly_solvable(u: WeylElement) -> bool:
 def es_diagonal(u: WeylElement, k: int) -> Rational:
     """Eigenvalue of an exactly-solvable element on the degree-k sector.
 
-    Only the balanced terms ``(j, j)`` contribute on the diagonal:
-    ``sum_j A[j,j] * k(k-1)...(k-j+1)``, which equals the flag-matrix
-    diagonal entry.
+    This is the degree-k coefficient of the image of ``b^k|0>`` (the
+    flag-matrix diagonal entry), to which only the balanced terms ``(j, j)``
+    contribute: ``sum_j A[j,j] * k(k-1)...(k-j+1)``.
     """
     if not is_exactly_solvable(u):
         raise NotExactlySolvableError(
             "diagonal eigenvalues require a flag-preserving element"
         )
-    return sum(
-        (c * falling(k, j) for (i, j), c in u.terms.items() if i == j),
-        Fraction(0),
-    )
+    return fock_apply(u, k)[k]
 
 
 def qes_constraint_residuals(c: QESCoeffs, n: int) -> Tuple[Rational, Rational]:
@@ -138,19 +144,14 @@ def qes_constraint_residuals(c: QESCoeffs, n: int) -> Tuple[Rational, Rational]:
     (quartic top) and n (cubic sub-leading).  See
     :func:`qes_leakage_residuals` for the separated conditions.
     """
-    r1 = c.a4 * n * (n - 1) + c.b3 * n + c.d2
-    r2 = (
-        c.a4 * (n - 1) * (n - 2) + c.b3 * (n - 1) + c.d2
-        + c.a3 * n * (n - 1) + c.b2 * n + c.d1
-    )
-    return (r1, r2)
+    return (c.c2(n), c.c2(n - 1) + c.c1(n))
 
 
 def heun_constraint_residual(
     a3: RationalLike, b2: RationalLike, d1: RationalLike, n: int
 ) -> Rational:
     """Residual ``a3 n(n-1) + b2 n + d1`` of the cubic-family constraint."""
-    return as_rational(a3) * n * (n - 1) + as_rational(b2) * n + as_rational(d1)
+    return QESCoeffs(a3=a3, b2=b2, d1=d1).c1(n)
 
 
 def qes_leakage_residuals(c: QESCoeffs, n: int) -> Tuple[Rational, Rational, Rational]:
@@ -168,25 +169,20 @@ def qes_leakage_residuals(c: QESCoeffs, n: int) -> Tuple[Rational, Rational, Rat
     C1(n) into one equation, so it is implied by, but does not imply, these
     three conditions.
     """
-
-    def c2(k: int) -> Rational:
-        return c.a4 * k * (k - 1) + c.b3 * k + c.d2
-
-    def c1(k: int) -> Rational:
-        return c.a3 * k * (k - 1) + c.b2 * k + c.d1
-
-    return (c2(n), c2(n - 1) if n >= 1 else Fraction(0), c1(n))
+    return (c.c2(n), c.c2(n - 1) if n >= 1 else Fraction(0), c.c1(n))
 
 
 def invariant_degree_scan(
     u: WeylElement, n_max: int = DEFAULT_SCAN_BOUND, cap: int = DEFAULT_DEGREE_CAP
 ) -> Tuple[int, ...]:
-    """All n <= n_max whose degree span is invariant, by direct leakage test."""
+    """All n <= n_max whose degree span is invariant, by direct leakage test:
+    the running maximum of the image degrees of ``b^k|0>`` is at most n."""
     if n_max > cap:
         raise ValueError("scan bound exceeds the degree cap")
-    found = []
+    found, top = [], -1
     for n in range(n_max + 1):
-        if not flag_matrix(u, n, cap).has_leakage:
+        top = max(top, fock_apply(u, n).degree)
+        if top <= n:
             found.append(n)
     return tuple(found)
 
@@ -195,11 +191,10 @@ def first_leakage(
     u: WeylElement, n: int, cap: int = DEFAULT_DEGREE_CAP
 ) -> Optional[Tuple[int, FockVector]]:
     """Lowest leaking column of the degree-n flag matrix, with its overflow."""
-    m = flag_matrix(u, n, cap)
-    if not m.has_leakage:
-        return None
-    col = min(m.leakage)
-    return (col, m.leakage[col])
+    for k, image in enumerate(fock_columns(u, n, cap)):
+        if image.degree > n:
+            return (k, image.split(n)[1])
+    return None
 
 
 def classify(
@@ -224,7 +219,7 @@ def classify(
     n_res = target_degree if target_degree is not None else (degrees[-1] if degrees else None)
     if coeffs is not None and n_res is not None:
         if coeffs.a4 == coeffs.b3 == coeffs.d2 == 0:
-            residuals = (heun_constraint_residual(coeffs.a3, coeffs.b2, coeffs.d1, n_res),)
+            residuals = (coeffs.c1(n_res),)
         else:
             residuals = qes_constraint_residuals(coeffs, n_res)
     witness = None

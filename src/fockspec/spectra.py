@@ -18,19 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .realizations import (
-    ComplexPlane,
-    Realization,
-    complex_fiber_matrix,
-    realization_label,
-    realize_matrix,
-)
-from .weyl import Rational, WeylElement, as_rational
+from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
+from .weyl import Rational, WeylElement, as_rational, horner
 
 Matrix = List[List[Rational]]
 
@@ -71,11 +64,7 @@ def restrict(
     Raises :class:`LeakageError` (with the witness column and overflow) if
     the span is not invariant.
     """
-    fm = (
-        complex_fiber_matrix(u, fiber_m, n)
-        if isinstance(r, ComplexPlane)
-        else realize_matrix(u, r, n)
-    )
+    fm = realize_matrix(u, r.fiber(fiber_m), n)
     if fm.has_leakage:
         col = min(fm.leakage)
         raise LeakageError(col, fm.leakage[col])
@@ -155,32 +144,18 @@ def nullspace(a: Matrix) -> List[Tuple[Rational, ...]]:
 
 
 @dataclass(frozen=True)
-class CharPoly:
+class CharPoly(UniPoly):
     """Monic polynomial with exact rational coefficients, ascending order."""
 
     coeffs: Tuple[Rational, ...]
 
     def __post_init__(self):
-        cs = tuple(as_rational(c) for c in self.coeffs)
-        if not cs or cs[-1] != 1:
+        if not self.coeffs or as_rational(self.coeffs[-1]) != 1:
             raise ValueError("characteristic polynomial must be monic")
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: Union[Rational, int]) -> Rational:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        super().__post_init__()
 
     def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
+        return horner(self.coeffs, z)
 
     def text(self, var: str = "t") -> str:
         """Readable form such as ``t^2 - 8`` (highest degree first)."""
@@ -250,61 +225,29 @@ class Eigenvalue:
         return self.exact is not None
 
 
-def _poly_deriv(coeffs: Sequence[Rational]) -> List[Rational]:
-    return [d * c for d, c in enumerate(coeffs)][1:]
-
-
-def _poly_monic(coeffs: Sequence[Rational]) -> List[Rational]:
-    lead = coeffs[-1]
-    return [c / lead for c in coeffs]
-
-
-def _poly_divmod(num: Sequence[Rational], den: Sequence[Rational]):
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    inv = 1 / den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        f = num[shift + len(den) - 1] * inv
-        q[shift] = f
-        if f:
-            for i, d in enumerate(den):
-                num[shift + i] -= f * d
-    while num and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_gcd(a: Sequence[Rational], b: Sequence[Rational]) -> List[Rational]:
+def _poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd: the last member of the integer remainder sequence."""
-    if not b:
-        return _poly_monic(a)
-    return _poly_monic([Fraction(c) for c in _sturm_chain(_primitive(a), _primitive(b))[-1]])
+    if b.is_zero:
+        return a.monic()
+    return UniPoly(_sturm_chain(_primitive(a.coeffs), _primitive(b.coeffs))[-1]).monic()
 
 
-def _poly_sub(a: Sequence[Rational], b: Sequence[Rational]) -> List[Rational]:
-    out = [x - y for x, y in zip_longest(a, b, fillvalue=Fraction(0))]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _square_free_decomposition(coeffs: Sequence[Rational]):
+def _square_free_decomposition(p: UniPoly):
     """Yun's algorithm: yields (factor, multiplicity), factors monic."""
-    p = _poly_monic(list(coeffs))
-    if len(p) <= 1:
+    p = p.monic()
+    if p.degree <= 0:
         return
-    dp = _poly_deriv(p)
+    dp = p.derivative()
     g = _poly_gcd(p, dp)
-    c, _ = _poly_divmod(p, g)
-    d = _poly_sub(_poly_divmod(dp, g)[0], _poly_deriv(c))
+    c = divmod(p, g)[0]
+    d = divmod(dp, g)[0] - c.derivative()
     mult = 1
-    while len(c) > 1:
+    while c.degree > 0:
         f = _poly_gcd(c, d)
-        if len(f) > 1:
+        if f.degree > 0:
             yield (f, mult)
-        c, _ = _poly_divmod(c, f)
-        quot, _ = _poly_divmod(d, f)
-        d = _poly_sub(quot, _poly_deriv(c))
+        c = divmod(c, f)[0]
+        d = divmod(d, f)[0] - c.derivative()
         mult += 1
 
 
@@ -426,15 +369,15 @@ def _refine_real_root(
     return a, b, k
 
 
-def _newton_polish(coeffs: Sequence[Rational], a: int, b: int, k: int) -> float:
+def _newton_polish(p: UniPoly, a: int, b: int, k: int) -> float:
     """Float Newton polish of a root bracketed by ``(a/2^k, b/2^k)``; falls
     back to the bracket midpoint if it leaves the bracket."""
-    fc = [float(c) for c in coeffs]
-    dc = [float(c) for c in _poly_deriv(coeffs)]
+    fc = [float(c) for c in p.coeffs]
+    dc = [float(c) for c in p.derivative().coeffs]
     x = mid = (a + b) / (1 << (k + 1))
     for _ in range(8):
-        fx = _horner(fc, x)
-        dfx = _horner(dc, x)
+        fx = horner(fc, x)
+        dfx = horner(dc, x)
         if not dfx:
             break
         step = fx / dfx
@@ -446,19 +389,9 @@ def _newton_polish(coeffs: Sequence[Rational], a: int, b: int, k: int) -> float:
     return x if a / (1 << k) <= x <= b / (1 << k) else mid
 
 
-def _horner(coeffs: Sequence[complex], x: complex) -> complex:
-    """Float or complex Horner evaluation."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _durand_kerner(
-    coeffs: Sequence[Rational], tol: float, iter_cap: int
-) -> List[complex]:
+def _durand_kerner(p: UniPoly, tol: float, iter_cap: int) -> List[complex]:
     """Simultaneous iteration for all roots of a square-free polynomial."""
-    monic = [complex(c) for c in _poly_monic(list(coeffs))]
+    monic = [complex(c) for c in p.monic().coeffs]
     deg = len(monic) - 1
     radius = 1 + max(abs(c) for c in monic[:-1]) if deg else 1.0
     seed = complex(0.4, 0.9)
@@ -466,7 +399,7 @@ def _durand_kerner(
     for _ in range(iter_cap):
         max_step = 0.0
         for i in range(deg):
-            num = _horner(monic, zs[i])
+            num = horner(monic, zs[i])
             den = 1 + 0j
             for j in range(deg):
                 if j != i:
@@ -503,11 +436,11 @@ def roots(
         return []
     exact_roots: List[Rational] = []
     numeric: List[Tuple[float, float, int]] = []  # (re, im, multiplicity)
-    for factor, mult in _square_free_decomposition(p.coeffs):
-        ints = _primitive(factor)
-        chain = _sturm_chain(ints, _primitive(_poly_deriv(ints)))
+    for factor, mult in _square_free_decomposition(p):
+        ints = _primitive(factor.coeffs)
+        chain = _sturm_chain(ints, _primitive(UniPoly(ints).derivative().coeffs))
         rational, intervals = _isolate_real_roots(chain)
-        n_complex = len(factor) - 1 - len(rational) - len(intervals)
+        n_complex = factor.degree - len(rational) - len(intervals)
         for a, b, k in intervals:
             found = _refine_real_root(chain, a, b, k, tol)
             if isinstance(found, Fraction):
@@ -518,7 +451,7 @@ def roots(
         if n_complex:
             rest = factor
             for r in rational:
-                rest, _ = _poly_divmod(rest, [-r, Fraction(1)])
+                rest = divmod(rest, UniPoly((-r, 1)))[0]
             try:
                 approx = _durand_kerner(rest, tol, iter_cap)
             except NonConvergenceError as err:
@@ -610,10 +543,9 @@ def eigenvector(
     for _ in range(50):
         try:
             w = np.linalg.solve(a - shift * eye, v)
+            norm = np.linalg.norm(w)
         except np.linalg.LinAlgError:
-            shift = shift * (1 + 1e-13) + 1e-300
-            continue
-        norm = np.linalg.norm(w)
+            norm = 0.0
         if not np.isfinite(norm) or norm == 0:
             shift = shift * (1 + 1e-13) + 1e-300
             continue
@@ -665,7 +597,7 @@ def spectrum(
             pairs.append((ev, vec))
     return Spectrum(
         operator=operator_label,
-        realization=realization_label(r) + (f" m={fiber_m}" if isinstance(r, ComplexPlane) else ""),
+        realization=r.fiber(fiber_m).label,
         degree=n,
         char_poly=cp,
         eigenpairs=tuple(pairs),
@@ -689,15 +621,10 @@ def isospectral_check(
 ) -> IsospectralReport:
     """Compare characteristic polynomials bit-exactly across realizations,
     always including the complex-plane fibers listed in ``fiber_ms``."""
-    entries: List[Tuple[str, CharPoly]] = []
-    for r in realizations:
-        if isinstance(r, ComplexPlane):
-            continue
-        entries.append((realization_label(r), char_poly(restrict(u, r, n))))
-    for m in fiber_ms:
-        entries.append(
-            (f"complex m={m}", char_poly(restrict(u, ComplexPlane(), n, fiber_m=m)))
-        )
+    # the complex plane enters once per vacuum listed in fiber_ms
+    spaces = [r for r in realizations if r != ComplexPlane()]
+    spaces += [ComplexPlane().fiber(m) for m in fiber_ms]
+    entries = [(s.label, char_poly(restrict(u, s, n))) for s in spaces]
     first = entries[0][1] if entries else None
     all_equal = all(cp == first for _, cp in entries)
     return IsospectralReport(degree=n, entries=tuple(entries), all_equal=all_equal)

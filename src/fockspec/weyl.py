@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -67,11 +67,10 @@ TermKey = Tuple[int, int]
 TermMap = Mapping[TermKey, Rational]
 
 
-class WeylElement:
-    """Normal-ordered element: a map from ``(b-exp, a-exp)`` to coefficient.
-
-    The stored map is the unique normal form; zero coefficients are never
-    kept.  Instances are immutable and hashable.
+class SparseTerms:
+    """Sparse polynomial in two exponents: a map from ``(i, j)`` to an exact
+    coefficient.  Repeated keys are summed and zero coefficients dropped on
+    construction.  Instances are immutable and hashable.
     """
 
     __slots__ = ("_terms",)
@@ -82,23 +81,44 @@ class WeylElement:
         for (i, j), c in items:
             i, j = int(i), int(j)
             if i < 0 or j < 0:
-                raise ValueError(f"negative generator exponent ({i}, {j})")
+                raise ValueError(f"negative exponent ({i}, {j})")
             c = as_rational(c)
             if c:
                 key = (i, j)
                 acc[key] = acc.get(key, Fraction(0)) + c
         object.__setattr__(self, "_terms", {k: v for k, v in acc.items() if v})
 
-    # -- basic structure ---------------------------------------------------
-
     @property
     def terms(self) -> TermMap:
-        """Read-only view of the normal form."""
+        """Read-only view of the coefficient map."""
         return MappingProxyType(self._terms)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    def coefficient(self, i: int, j: int) -> Rational:
+        return self._terms.get((i, j), Fraction(0))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+
+class WeylElement(SparseTerms):
+    """Normal-ordered element: a map from ``(b-exp, a-exp)`` to coefficient.
+
+    The stored map is the unique normal form; zero coefficients are never
+    kept.  Instances are immutable and hashable.
+    """
+
+    __slots__ = ()
+
+    # -- basic structure ---------------------------------------------------
 
     @property
     def b_degree(self) -> int:
@@ -109,9 +129,6 @@ class WeylElement:
     def a_degree(self) -> int:
         """Largest a-exponent, or -1 for the zero element."""
         return max((j for _, j in self._terms), default=-1)
-
-    def coefficient(self, i: int, j: int) -> Rational:
-        return self._terms.get((i, j), Fraction(0))
 
     @classmethod
     def zero(cls) -> "WeylElement":
@@ -124,14 +141,11 @@ class WeylElement:
     # -- equality / hashing ------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, WeylElement):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == WeylElement({(0, 0): other})
-        return NotImplemented
+        return super().__eq__(other)
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+    __hash__ = SparseTerms.__hash__
 
     # -- arithmetic sugar (delegates to the module-level operations) --------
 
@@ -163,12 +177,7 @@ class WeylElement:
         return scale(1 / as_rational(other), self)
 
     def __pow__(self, n: int) -> "WeylElement":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = WeylElement.identity()
-        for _ in range(n):
-            out = multiply(out, self)
-        return out
+        return power(self, n)
 
     # -- canonical text form -------------------------------------------------
 
@@ -218,8 +227,6 @@ def canonical_text(u: WeylElement) -> str:
 
 def make(coeff: RationalLike, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:
     """Single-term element ``coeff * b^i * a^j`` (zero element if coeff is 0)."""
-    if i < 0 or j < 0:
-        raise ValueError(f"negative generator exponent ({i}, {j})")
     for e in (i, j):
         if e > cap:
             raise DegreeOverflowError(e, cap)
@@ -227,16 +234,11 @@ def make(coeff: RationalLike, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP) -> 
 
 
 def add(u: WeylElement, v: WeylElement) -> WeylElement:
-    acc = dict(u._terms)
-    for key, c in v._terms.items():
-        acc[key] = acc.get(key, Fraction(0)) + c
-    return WeylElement(acc)
+    return WeylElement([*u._terms.items(), *v._terms.items()])
 
 
 def scale(c: RationalLike, u: WeylElement) -> WeylElement:
     c = as_rational(c)
-    if not c:
-        return WeylElement.zero()
     return WeylElement({key: c * v for key, v in u._terms.items()})
 
 
@@ -268,9 +270,43 @@ def commutator(u: WeylElement, v: WeylElement, cap: int = DEFAULT_DEGREE_CAP) ->
     return add(multiply(u, v, cap), scale(-1, multiply(v, u, cap)))
 
 
+def power(u: WeylElement, n: int, cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:
+    """``u^n`` by square-and-multiply, in O(log n) products.
+
+    The base is squared only while a higher bit of ``n`` is left, so every
+    product is a factor of ``u^n`` and exceeds the cap only if ``u^n``
+    does (the exponent named in that error is the first product's that
+    exceeds it).
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    out = WeylElement.identity()
+    while n:
+        if n & 1:
+            out = multiply(out, u, cap)
+        n >>= 1
+        if n:
+            u = multiply(u, u, cap)
+    return out
+
+
+def horner(coeffs: Sequence, x):
+    """``sum coeffs[k] x^k`` by Horner's rule from the top coefficient down:
+    exact over rationals, and in one fixed operation order over floats and
+    complex numbers."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class FockVector:
-    """Vector ``sum coeffs[k] * b^k|0>``; trailing zeros trimmed, () is zero."""
+    """Vector ``sum coeffs[k] * b^k|0>``; trailing zeros trimmed, () is zero.
+
+    Under the differential realization ``b^k|0>`` is ``x^k``, so the same
+    type is the polynomial ``sum coeffs[k] x^k`` (``realizations.UniPoly``).
+    """
 
     coeffs: Tuple[Rational, ...] = ()
 
@@ -282,10 +318,15 @@ class FockVector:
 
     @classmethod
     def basis(cls, k: int, coeff: RationalLike = 1) -> "FockVector":
-        c = as_rational(coeff)
-        if not c:
-            return cls()
-        return cls((Fraction(0),) * k + (c,))
+        return cls((Fraction(0),) * k + (as_rational(coeff),))
+
+    @classmethod
+    def monomial(cls, n: int, coeff: RationalLike = 1) -> "FockVector":
+        return cls.basis(n, coeff)
+
+    @classmethod
+    def one(cls) -> "FockVector":
+        return cls((Fraction(1),))
 
     @property
     def is_zero(self) -> bool:
@@ -299,13 +340,72 @@ class FockVector:
     def __getitem__(self, k: int) -> Rational:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
+    def coeff(self, d: int) -> Rational:
+        return self[d]
+
     def __add__(self, other: "FockVector") -> "FockVector":
         n = max(len(self.coeffs), len(other.coeffs))
         return FockVector(tuple(self[k] + other[k] for k in range(n)))
 
+    def __neg__(self) -> "FockVector":
+        return self.scale(-1)
+
+    def __sub__(self, other: "FockVector") -> "FockVector":
+        return self + (-other)
+
     def scale(self, c: RationalLike) -> "FockVector":
         c = as_rational(c)
+        if not c:
+            return FockVector()
         return FockVector(tuple(c * v for v in self.coeffs))
+
+    def monic(self) -> "FockVector":
+        lead = self.coeffs[-1]
+        return FockVector(tuple(c / lead for c in self.coeffs))
+
+    def __divmod__(self, den: "FockVector") -> Tuple["FockVector", "FockVector"]:
+        """Polynomial long division: quotient and remainder."""
+        num, d = list(self.coeffs), den.coeffs
+        q = [Fraction(0)] * max(len(num) - len(d) + 1, 0)
+        inv = 1 / d[-1]
+        for shift in range(len(num) - len(d), -1, -1):
+            f = q[shift] = num[shift + len(d) - 1] * inv
+            if f:
+                for i, c in enumerate(d):
+                    num[shift + i] -= f * c
+        return FockVector(tuple(q)), FockVector(tuple(num))
+
+    def times_x(self) -> "FockVector":
+        if self.is_zero:
+            return self
+        return FockVector((Fraction(0),) + self.coeffs)
+
+    def derivative(self) -> "FockVector":
+        return FockVector(tuple(d * c for d, c in enumerate(self.coeffs))[1:])
+
+    def shifted(self, h: RationalLike) -> "FockVector":
+        """Exact binomial expansion of ``f(x + h)``."""
+        h = as_rational(h)
+        n = len(self.coeffs)
+        out = [Fraction(0)] * n
+        for d, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            h_power = Fraction(1)
+            for r in range(d, -1, -1):
+                out[r] += c * comb(d, d - r) * h_power
+                h_power *= h
+        return FockVector(tuple(out))
+
+    def __call__(self, x: RationalLike) -> Rational:
+        return horner(self.coeffs, as_rational(x))
+
+    def split(self, n: int) -> Tuple[Tuple[Rational, ...], "FockVector"]:
+        """Coefficients of degrees ``0..n``, and the part above ``n`` (zero
+        below): a flag-matrix column and its leakage out of that span."""
+        above = self.coeffs[n + 1:]
+        leak = FockVector((Fraction(0),) * (n + 1) + above) if above else FockVector()
+        return self.coeffs[:n + 1], leak
 
 
 def fock_apply(u: WeylElement, k: int) -> FockVector:
@@ -324,7 +424,7 @@ def fock_apply(u: WeylElement, k: int) -> FockVector:
     return FockVector(tuple(acc.get(d, Fraction(0)) for d in range(top + 1)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FlagMatrix:
     """Matrix of an operator on a degree-filtered basis, plus overflow records.
 
@@ -341,6 +441,20 @@ class FlagMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "leakage", MappingProxyType(dict(self.leakage)))
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Tuple[Sequence[Rational], object]]) -> "FlagMatrix":
+        """Matrix from one ``(coordinates, leakage)`` pair per column; a
+        zero leakage is not recorded."""
+        size = len(columns)
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        leakage = {}
+        for k, (coords, leak) in enumerate(columns):
+            for r, c in enumerate(coords):
+                rows[r][k] = c
+            if not leak.is_zero:
+                leakage[k] = leak
+        return cls(tuple(tuple(row) for row in rows), leakage)
 
     @property
     def size(self) -> int:
@@ -365,10 +479,15 @@ class FlagMatrix:
         """Mutable copy for downstream exact linear algebra."""
         return [list(row) for row in self.entries]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlagMatrix):
-            return NotImplemented
-        return self.entries == other.entries and dict(self.leakage) == dict(other.leakage)
+
+def fock_columns(u: WeylElement, n_max: int, cap: int = DEFAULT_DEGREE_CAP) -> Iterator[FockVector]:
+    """Images ``fock_apply(u, k)`` of the basis ``b^k|0>``, k = 0..n_max:
+    the columns of the degree-``n_max`` flag matrix, checked against the cap."""
+    if n_max < 0:
+        raise ValueError("matrix size bound must be nonnegative")
+    if n_max > cap:
+        raise DegreeOverflowError(n_max, cap)
+    return (fock_apply(u, k) for k in range(n_max + 1))
 
 
 def flag_matrix(u: WeylElement, n_max: int, cap: int = DEFAULT_DEGREE_CAP) -> FlagMatrix:
@@ -377,29 +496,7 @@ def flag_matrix(u: WeylElement, n_max: int, cap: int = DEFAULT_DEGREE_CAP) -> Fl
     Column ``k`` is ``fock_apply(u, k)`` split into in-range entries and an
     overflow record for degrees above ``n_max``.
     """
-    if n_max < 0:
-        raise ValueError("matrix size bound must be nonnegative")
-    if n_max > cap:
-        raise DegreeOverflowError(n_max, cap)
-    size = n_max + 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    leakage: dict[int, FockVector] = {}
-    for k in range(size):
-        image = fock_apply(u, k)
-        overflow: dict[int, Fraction] = {}
-        for d, c in enumerate(image.coeffs):
-            if not c:
-                continue
-            if d <= n_max:
-                rows[d][k] = c
-            else:
-                overflow[d] = c
-        if overflow:
-            top = max(overflow)
-            leakage[k] = FockVector(
-                tuple(overflow.get(d, Fraction(0)) for d in range(top + 1))
-            )
-    return FlagMatrix(tuple(tuple(r) for r in rows), leakage)
+    return FlagMatrix.from_columns([image.split(n_max) for image in fock_columns(u, n_max, cap)])
 
 
 def eval_poly_in_L0(coeffs: Sequence[RationalLike], cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:

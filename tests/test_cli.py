@@ -333,3 +333,30 @@ def test_float_overflow_exits_4():
     code, payload = run_json("spectrum", "--expr", "1" + "0" * 400 + "*b*a + a", "--n", "1")
     assert code == 4
     assert "too large" in payload["diagnostics"][0]
+
+
+@pytest.mark.parametrize("expr, canonical", [("1^100000000", "1"), ("(a - a)^100000000", "0")])
+def test_huge_powers_of_one_and_zero_are_fast(expr, canonical):
+    import time
+
+    start = time.perf_counter()
+    code, payload = run_json("normal-order", "--expr", expr)
+    assert code == 0 and payload["result"]["canonical"] == canonical
+    assert time.perf_counter() - start < 2.0
+
+
+def test_huge_power_over_the_cap_exits_1():
+    code, payload = run_json("normal-order", "--expr", "b^100000000")
+    assert code == 1
+    assert "degree cap" in payload["diagnostics"][0]
+
+
+def test_bad_format_in_config_file_exits_1(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = yaml\n")
+    code, payload = run_json("--config", str(cfg), "normal-order", "--expr", "a")
+    assert code == 1
+    assert "format" in payload["diagnostics"][0]
+    # the flag beats the file before the file value is checked
+    code, payload = run_json("--config", str(cfg), "--format", "json", "normal-order", "--expr", "a")
+    assert code == 0 and payload["config"]["format"] == "json"
