@@ -321,6 +321,10 @@ def _load_config_file(path: str) -> Dict[str, str]:
 def _build_config(args) -> RunConfig:
     """Defaults, overridden by the config file, overridden by flags."""
     file_values = _load_config_file(args.config) if args.config else {}
+    known = [key for key, *_ in _CONFIG_KEYS]
+    for key in file_values:
+        if key not in known:
+            raise CliError(f"unknown config key {key!r} (known: {', '.join(known)})", EXIT_USAGE)
     values = {}
     for key, field, parse, _ in _CONFIG_KEYS:
         text = getattr(args, key, None)

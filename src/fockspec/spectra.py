@@ -1,13 +1,15 @@
 """Exact characteristic polynomials, eigenvalues and eigenvectors.
 
 The pipeline is exact-first: restrictions to invariant degree spans are
-rational matrices and characteristic polynomials come from the
-Faddeev-LeVerrier recursion over Fractions.  Roots are found per
-square-free factor, scaled to a primitive integer polynomial: an integer
-Sturm chain isolates the real roots, rational ones are read off their exact
-intervals, and every other real root is certified by an exact bracket of
-width at most ``tol`` (then Newton-polished in floats).  Durand-Kerner
-iteration finds complex pairs, certified by ``|p(z)| / (1 + max|coeff|)``.
+rational matrices, and an exact similarity to upper Hessenberg form (which
+they already have, since they raise the degree of ``b^k|0>`` by at most one)
+gives the characteristic polynomial by the leading-minor recurrence over
+Fractions.  Roots are found per square-free factor, scaled to a primitive
+integer polynomial: an integer Sturm chain isolates the real roots, rational
+ones are read off their exact intervals, and every other real root is
+certified by an exact bracket of width at most ``tol`` (then Newton-polished
+in floats).  Durand-Kerner iteration finds complex pairs, certified by
+``|p(z)| / (1 + max|coeff|)``.
 
 Cross-realization isospectrality is therefore a decidable, bit-exact
 equality of characteristic polynomials.
@@ -29,9 +31,6 @@ Matrix = List[List[Rational]]
 
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_ITER_CAP = 500
-#: Numeric roots closer than this relative gap are merged into one root
-#: with multiplicity.
-CLUSTER_GAP = 1e-9
 
 
 class LeakageError(Exception):
@@ -64,6 +63,8 @@ def restrict(
     Raises :class:`LeakageError` (with the witness column and overflow) if
     the span is not invariant.
     """
+    if n < 0:
+        raise ValueError("matrix size bound must be nonnegative")
     fm = realize_matrix(u, r.fiber(fiber_m), n)
     if fm.has_leakage:
         col = min(fm.leakage)
@@ -74,10 +75,6 @@ def restrict(
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Fraction
 # ---------------------------------------------------------------------------
-
-
-def _identity(n: int) -> Matrix:
-    return [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -100,40 +97,34 @@ def mat_vec(a: Matrix, v: Sequence[Rational]) -> List[Rational]:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
-def _trace(a: Matrix) -> Rational:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def nullspace(a: Matrix) -> List[Tuple[Rational, ...]]:
-    """Basis of the exact nullspace, via reduced row echelon form."""
+    """Basis of the exact nullspace: the vector with 1 in one free column
+    and 0 in the others, for each free column of a row echelon form (the
+    basis that reduced row echelon form gives), by back-substitution."""
     if not a:
         return []
     rows = [list(map(Fraction, row)) for row in a]
     n_rows, n_cols = len(rows), len(rows[0])
     pivots: List[int] = []
-    r = 0
     for c in range(n_cols):
+        r = len(pivots)
         pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        for i in range(r + 1, n_rows):
+            if rows[i][c]:
+                f = rows[i][c] / top[c]
+                rows[i][c:] = [x - f * y for x, y in zip(rows[i][c:], top[c:])]
         pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
     basis = []
-    free = [c for c in range(n_cols) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+        for r in range(len(pivots) - 1, -1, -1):
+            pc, row = pivots[r], rows[r]
+            v[pc] = -sum((row[j] * v[j] for j in range(pc + 1, n_cols)), Fraction(0)) / row[pc]
         basis.append(tuple(v))
     return basis
 
@@ -177,24 +168,40 @@ class CharPoly(UniPoly):
 
 
 def char_poly(m: Matrix) -> CharPoly:
-    """Exact monic characteristic polynomial by the Faddeev-LeVerrier
-    recursion (no division beyond exact rationals)."""
+    """Exact monic characteristic polynomial: an exact similarity clears
+    each column below its subdiagonal (a nonzero entry is swapped onto the
+    subdiagonal first), and the leading principal minors of the Hessenberg
+    form follow from ``p_k = (t - h_kk) p_{k-1} - sum_{i<k} h_ik
+    h_{i+1,i}...h_{k,k-1} p_{i-1}``, a sum that ends at a zero subdiagonal."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("characteristic polynomial needs a square matrix")
-    m = [[as_rational(x) for x in row] for row in m]
-    descending = [Fraction(1)]
-    aux = _identity(n)
-    work = m
-    for k in range(1, n + 1):
-        if k > 1:
-            work = mat_mul(m, aux)
-        ck = -_trace(work) / k
-        descending.append(ck)
-        aux = [row[:] for row in work]
-        for i in range(n):
-            aux[i][i] += ck
-    return CharPoly(tuple(reversed(descending)))
+    h = [[as_rational(x) for x in row] for row in m]
+    for s in range(1, n - 1):  # clear column s - 1 below row s
+        pivot = next((i for i in range(s, n) if h[i][s - 1]), None)
+        if pivot is None:
+            continue
+        h[s], h[pivot] = h[pivot], h[s]
+        for row in h:
+            row[s], row[pivot] = row[pivot], row[s]
+        for i in range(s + 1, n):
+            if h[i][s - 1]:
+                f = h[i][s - 1] / h[s][s - 1]
+                h[i] = [x - f * y for x, y in zip(h[i], h[s])]
+                for row in h:
+                    row[s] += f * row[i]
+    minors = [UniPoly.one()]
+    for k in range(n):
+        p = minors[k].times_x() - minors[k].scale(h[k][k])
+        chain = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            chain *= h[i + 1][i]
+            if not chain:
+                break
+            if h[i][k]:
+                p = p - minors[i].scale(h[i][k] * chain)
+        minors.append(p)
+    return CharPoly(minors[n].coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +435,6 @@ def roots(
     exact bracket of width at most ``tol``; complex pairs come from
     Durand-Kerner iteration and are certified by the normalized residual
     ``|p(z)| / (1 + max|coeff|)``, which every numeric root reports.
-    Numeric roots closer than the relative cluster gap are merged.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -470,7 +476,6 @@ def roots(
                 im = (z.imag - partner.imag) / 2
                 numeric.append((re, im, mult))
                 numeric.append((re, -im, mult))
-    numeric = _merge_clusters(numeric)
     out = [Eigenvalue.from_exact(r) for r in sorted(exact_roots)]
     # float() of a large coefficient overflows; only numeric roots need it
     scale = 1 + max(abs(float(c)) for c in p.coeffs) if numeric else 1.0
@@ -485,22 +490,6 @@ def roots(
         out.extend([Eigenvalue.from_numeric(re, im, residual)] * mult)
     assert len(out) == p.degree
     return out
-
-
-def _merge_clusters(
-    numeric: List[Tuple[float, float, int]]
-) -> List[Tuple[float, float, int]]:
-    merged: List[Tuple[float, float, int]] = []
-    for re, im, mult in sorted(numeric, key=lambda t: (t[0], t[1])):
-        for idx, (mre, mim, mmult) in enumerate(merged):
-            if abs(complex(re, im) - complex(mre, mim)) <= CLUSTER_GAP * (
-                1 + abs(complex(re, im))
-            ):
-                merged[idx] = (mre, mim, mmult + mult)
-                break
-        else:
-            merged.append((re, im, mult))
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +510,8 @@ def eigenvector(
     """
     n = len(m)
     if ev.is_exact:
-        shifted = [[m[i][j] - (ev.exact if i == j else 0) for j in range(n)] for i in range(n)]
+        shifted = [[x - ev.exact if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(m)]
         basis = nullspace(shifted)
         if not basis:
             raise ValueError(f"{ev.exact} is not an eigenvalue of the matrix")

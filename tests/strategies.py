@@ -38,3 +38,29 @@ def rational_root_multisets(
         max_size=max_roots,
         unique_by=lambda pair: pair[0],
     )
+
+
+@st.composite
+def banded_matrices(draw, max_size: int = 8, max_bandwidth: int = 3):
+    """Square rational matrices of size 0..max_size, zero more than a drawn
+    lower bandwidth (0..max_bandwidth, or full) below the diagonal; zero
+    entries are drawn often."""
+    n = draw(st.integers(0, max_size))
+    band = draw(st.one_of(st.integers(0, max_bandwidth), st.just(n)))
+    entry = st.one_of(st.just(Fraction(0)), rationals())
+    return [[draw(entry) if i - j <= band else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def low_rank_matrices(draw, max_rows: int = 6, max_cols: int = 6):
+    """Products of an r x k and a k x c rational matrix (k drawn up to
+    min(r, c)), so that nullspaces are often nontrivial."""
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    k = draw(st.integers(0, min(rows, cols)))
+    entry = st.one_of(st.just(Fraction(0)), rationals())
+    left = [[draw(entry) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(k)]
+    return [
+        [sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(cols)]
+        for i in range(rows)
+    ]

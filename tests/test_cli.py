@@ -360,3 +360,31 @@ def test_bad_format_in_config_file_exits_1(tmp_path):
     # the flag beats the file before the file value is checked
     code, payload = run_json("--config", str(cfg), "--format", "json", "normal-order", "--expr", "a")
     assert code == 0 and payload["config"]["format"] == "json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--op", "hermite", "--n", "-1"],
+        ["spectrum", "--op", "hermite", "--n", "-1", "--realization", "delta"],
+        ["spectrum", "--op", "hermite", "--n", "-1", "--realization", "q"],
+        ["spectrum", "--op", "hermite", "--n", "-1", "--realization", "complex"],
+        ["isospectral", "--op", "hermite", "--n", "-1"],
+    ],
+)
+def test_negative_degree_exits_1(argv):
+    code, payload = run_json(*argv)
+    assert code == 1
+    assert "nonnegative" in payload["diagnostics"][0]
+
+
+def test_unknown_config_key_exits_1(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("degree-cap = 3\ntol = 1e-10\n")
+    code, payload = run_json("--config", str(cfg), "normal-order", "--expr", "b^5")
+    assert code == 1
+    assert "'degree-cap'" in payload["diagnostics"][0]
+    # a file of known keys still loads
+    cfg.write_text("degree_cap = 3\n")
+    code, payload = run_json("--config", str(cfg), "normal-order", "--expr", "b^3")
+    assert code == 0 and payload["config"]["degree_cap"] == 3

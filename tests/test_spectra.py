@@ -432,3 +432,17 @@ def test_complex_eigenvalue_pair_from_negative_coupling():
             for i in range(2)
         )
         assert residual <= 1e-11
+
+
+def test_close_distinct_roots_stay_distinct():
+    # t^2 - 2t + 1 - 2/10^20 has the two roots 1 -+ sqrt(2)*10^-10
+    evs = roots(CharPoly((1 - F(2, 10**20), F(-2), F(1))))
+    assert len(evs) == 2 and not any(e.is_exact for e in evs)
+    assert evs[0].re < 1 < evs[1].re
+
+
+def test_restrict_rejects_negative_degree():
+    with pytest.raises(ValueError, match="nonnegative"):
+        restrict(HERMITE, Differential(), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        isospectral_check(HERMITE, -1, ALL_UNIVARIATE)
