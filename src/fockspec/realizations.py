@@ -107,16 +107,22 @@ class Realization:
     """
 
     def apply(self, u: WeylElement, p):
-        """Image of ``p`` under ``u``: per term the a-factors act first
-        (rightmost in the normal form), then the b-factors."""
-        total = type(p)()
+        """Image of ``p`` under ``u``: per term ``c*b^i*a^j`` the a-factors
+        act first (rightmost in the normal form), then the b-factors.
+
+        Each ``a^j p`` is computed once and each b-chain ``b^i(a^j p)`` once
+        per ``j``, both extended only as far as the terms met so far need, in
+        term order.  So the actions computed are exactly those of acting term
+        by term, and an action that raises does so at the same term.
+        """
+        a_powers, b_chains, total = [p], {}, type(p)()
         for (i, j), c in u.terms.items():
-            w = p
-            for _ in range(j):
-                w = self.act_a(w)
-            for _ in range(i):
-                w = self.act_b(w)
-            total = total + w.scale(c)
+            while len(a_powers) <= j:
+                a_powers.append(self.act_a(a_powers[-1]))
+            chain = b_chains.setdefault(j, [a_powers[j]])
+            while len(chain) <= i:
+                chain.append(self.act_b(chain[-1]))
+            total = total + chain[i].scale(c)
         return total
 
     def matrix(self, u: WeylElement, n_max: int) -> FlagMatrix:

@@ -103,7 +103,7 @@ def nullspace(a: Matrix) -> List[Tuple[Rational, ...]]:
     basis that reduced row echelon form gives), by back-substitution."""
     if not a:
         return []
-    rows = [list(map(Fraction, row)) for row in a]
+    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in a]
     n_rows, n_cols = len(rows), len(rows[0])
     pivots: List[int] = []
     for c in range(n_cols):
@@ -124,7 +124,8 @@ def nullspace(a: Matrix) -> List[Tuple[Rational, ...]]:
         v[fc] = Fraction(1)
         for r in range(len(pivots) - 1, -1, -1):
             pc, row = pivots[r], rows[r]
-            v[pc] = -sum((row[j] * v[j] for j in range(pc + 1, n_cols)), Fraction(0)) / row[pc]
+            terms = (row[j] * v[j] for j in range(pc + 1, n_cols) if row[j] and v[j])
+            v[pc] = -sum(terms, Fraction(0)) / row[pc]
         basis.append(tuple(v))
     return basis
 

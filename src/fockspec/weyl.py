@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
@@ -384,18 +384,26 @@ class FockVector:
         return FockVector(tuple(d * c for d, c in enumerate(self.coeffs))[1:])
 
     def shifted(self, h: RationalLike) -> "FockVector":
-        """Exact binomial expansion of ``f(x + h)``."""
+        """Exact ``f(x + h)`` by an integer Taylor shift (von zur Gathen and
+        Gerhard, ISSAC 1997).
+
+        With ``h = s/t``, ``n`` the degree and ``D`` the common denominator,
+        ``q_d = D c_d s^d t^(n-d)`` are the integer coefficients of
+        ``D t^n f(h y)``; shifting them by one in integer additions gives
+        ``q'``, and coefficient ``r`` of ``f(x + h)`` is
+        ``q'_r / (D s^r t^(n-r))``.
+        """
         h = as_rational(h)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            h_power = Fraction(1)
-            for r in range(d, -1, -1):
-                out[r] += c * comb(d, d - r) * h_power
-                h_power *= h
-        return FockVector(tuple(out))
+        if not h or not self.coeffs:
+            return self
+        s, t, n = h.numerator, h.denominator, len(self.coeffs) - 1
+        den = lcm(*(c.denominator for c in self.coeffs))
+        scales = [s**d * t ** (n - d) for d in range(n + 1)]
+        q = [den // c.denominator * c.numerator * w for c, w in zip(self.coeffs, scales)]
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                q[k] += q[k + 1]
+        return FockVector(tuple(Fraction(v, den * w) for v, w in zip(q, scales)))
 
     def __call__(self, x: RationalLike) -> Rational:
         return horner(self.coeffs, as_rational(x))

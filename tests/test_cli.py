@@ -295,6 +295,17 @@ def test_bad_realization_parameter_exits_1():
     assert "q must differ" in payload["diagnostics"][0]
 
 
+def test_undefined_q_raising_action_exits_1():
+    # at q = -1, {2}_q = 0, so b is undefined on x.  Acting term by term
+    # applies b to b(a x) = x and raises; Horner in b, b*(b*a - 1), would
+    # cancel x against -x first and never raise.
+    code, payload = run_json(
+        "spectrum", "--expr", "b^2*a-b", "--n", "1", "--realization", "q", "--q", "-1"
+    )
+    assert code == 1
+    assert payload["diagnostics"] == ["raising action undefined: {2}_q = 0 for q = -1"]
+
+
 def test_numeric_non_convergence_exits_4():
     # complex pair with a one-step iteration budget cannot converge
     code, payload = run_json(
@@ -388,3 +399,16 @@ def test_unknown_config_key_exits_1(tmp_path):
     cfg.write_text("degree_cap = 3\n")
     code, payload = run_json("--config", str(cfg), "normal-order", "--expr", "b^3")
     assert code == 0 and payload["config"]["degree_cap"] == 3
+
+
+def test_lame_64_isospectral_is_fast():
+    # the design envelope: degree 64 over the default lattices within seconds
+    import time
+
+    start = time.perf_counter()
+    code, payload = run_json(
+        "isospectral", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=64",
+        "--n", "64", "--fibers", "0",
+    )
+    assert code == 0 and payload["result"]["equal"] is True
+    assert time.perf_counter() - start < 8.0

@@ -5,17 +5,28 @@ Fock action in one pass; the per-degree flag matrices stay the reference.
 The differential realization is the Fock action itself; the generic
 monomial-basis assembly stays the reference.  Powers use square-and-multiply;
 the repeated product stays the reference.  Horner keeps the float operation
-order of the loop it replaced.
+order of the loop it replaced.  ``Realization.apply`` shares a-powers and
+b-chains; the term-by-term action stays the reference.  ``shifted`` is an
+integer Taylor shift; the binomial expansion stays the reference.
 """
 
 from fractions import Fraction as F
+from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fockspec.catalog import hermite, jplus, lame, sextic
-from fockspec.realizations import DeltaLattice, Differential, Realization, realize_matrix
+from fockspec.realizations import (
+    ComplexFiber,
+    DeltaLattice,
+    Differential,
+    QLattice,
+    Realization,
+    realize_matrix,
+)
 from fockspec.solvability import (
     QESCoeffs,
     first_leakage,
@@ -28,6 +39,7 @@ from fockspec.solvability import (
 from fockspec.spectra import char_poly, restrict
 from fockspec.weyl import (
     DegreeOverflowError,
+    FockVector,
     WeylElement,
     flag_matrix,
     make,
@@ -35,7 +47,7 @@ from fockspec.weyl import (
     power,
 )
 
-from strategies import weyl_elements
+from strategies import nonzero_rationals, rationals, weyl_elements
 
 HERMITE = hermite().element
 
@@ -170,3 +182,84 @@ def test_eval_complex_keeps_the_float_operation_order():
             acc = acc * z + complex(c)
         assert cp.eval_complex(z) == acc
         assert cp(F(k, 3)) == sum(c * F(k, 3) ** d for d, c in enumerate(cp.coeffs))
+
+
+# -- shared a-powers in the realization action -------------------------------------
+
+
+def _per_term_apply(r, u, p):
+    """The term-by-term action ``Realization.apply`` replaced."""
+    total = type(p)()
+    for (i, j), c in u.terms.items():
+        w = p
+        for _ in range(j):
+            w = r.act_a(w)
+        for _ in range(i):
+            w = r.act_b(w)
+        total = total + w.scale(c)
+    return total
+
+
+def _matrix_or_error(u, r, n):
+    try:
+        m = realize_matrix(u, r, n)
+    except ValueError as e:
+        return str(e)
+    return m.entries, dict(m.leakage)
+
+
+realizations = st.one_of(
+    st.builds(DeltaLattice, nonzero_rationals()),
+    # q = -1 leaves the raising action undefined on odd degrees
+    st.builds(QLattice, st.one_of(st.just(F(-1)), nonzero_rationals().filter(lambda q: q != 1))),
+    st.builds(ComplexFiber, st.integers(0, 3)),
+)
+
+
+@given(weyl_elements(max_degree=4, max_terms=5), realizations, st.integers(0, 6))
+# b^2*a - b at q = -1: per term, b acts on b(a x) = x and raises
+@example(WeylElement({(2, 1): 1, (1, 0): -1}), QLattice(-1), 1)
+@settings(max_examples=150, deadline=None)
+def test_apply_equals_the_term_by_term_action(u, r, n):
+    with mock.patch.object(Realization, "apply", _per_term_apply):
+        expected = _matrix_or_error(u, r, n)
+    assert _matrix_or_error(u, r, n) == expected
+
+
+# -- integer Taylor shift ----------------------------------------------------------
+
+
+def _binomial_shift(f, h):
+    """The binomial expansion of ``f(x + h)`` that ``shifted`` replaced."""
+    n = len(f.coeffs)
+    out = [F(0)] * n
+    for d, c in enumerate(f.coeffs):
+        if not c:
+            continue
+        h_power = F(1)
+        for r in range(d, -1, -1):
+            out[r] += c * comb(d, d - r) * h_power
+            h_power *= h
+    return FockVector(tuple(out))
+
+
+@given(
+    st.lists(st.one_of(st.just(F(0)), rationals(10**6, 10**6)), max_size=12),
+    st.one_of(st.just(F(0)), rationals(10**6, 10**6)),
+)
+@settings(max_examples=200, deadline=None)
+def test_shifted_equals_the_binomial_expansion(coeffs, h):
+    f = FockVector(tuple(coeffs))
+    shifted = f.shifted(h)
+    assert shifted == _binomial_shift(f, h)
+    assert all(type(c) is F for c in shifted.coeffs)
+    assert shifted.shifted(-h) == f
+
+
+def test_shifted_edge_cases():
+    assert FockVector().shifted(F(-7, 2)) == FockVector()
+    f = FockVector((F(1, 3), 0, F(-5, 999999)))
+    assert f.shifted(0) == f
+    assert f.shifted(F(-1, 2)) == _binomial_shift(f, F(-1, 2))
+    # (x - 1)^3 shifted by 1 is x^3
+    assert FockVector((-1, 3, -3, 1)).shifted(1) == FockVector((0, 0, 0, 1))
