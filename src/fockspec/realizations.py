@@ -188,29 +188,43 @@ class QLattice(Realization):
         object.__setattr__(self, "q", as_rational(self.q))
         if self.q in (0, 1):
             raise ValueError("q must differ from 0 and 1")
+        object.__setattr__(self, "_q_numbers", (Fraction(0),))
 
     @property
     def label(self) -> str:
         return f"q={self.q}"
 
+    def _q_table(self, n: int) -> Tuple[Rational, ...]:
+        """``{0}_q .. {n}_q`` (at least), from ``{k+1}_q = q {k}_q + 1``.
+
+        The table is kept; a longer one replaces it whole, so the instance
+        can be shared between threads."""
+        table = self._q_numbers
+        if len(table) <= n:
+            while len(table) <= n:
+                table += (table[-1] * self.q + 1,)
+            object.__setattr__(self, "_q_numbers", table)
+        return table
+
     def act_a(self, p: UniPoly) -> UniPoly:
+        qn = self._q_table(p.degree)
         out = [Fraction(0)] * max(len(p.coeffs) - 1, 0)
         for n, c in enumerate(p.coeffs):
             if n and c:
-                out[n - 1] += c * q_number(n, self.q)
+                out[n - 1] = c * qn[n]
         return UniPoly(tuple(out))
 
     def act_b(self, p: UniPoly) -> UniPoly:
+        qn = self._q_table(p.degree + 1)
         out = [Fraction(0)] * (len(p.coeffs) + 1)
         for n, c in enumerate(p.coeffs):
             if not c:
                 continue
-            qn = q_number(n + 1, self.q)
-            if not qn:
+            if not qn[n + 1]:
                 raise ValueError(
                     f"raising action undefined: {{{n + 1}}}_q = 0 for q = {self.q}"
                 )
-            out[n + 1] += c * Fraction(n + 1) / qn
+            out[n + 1] = c * (n + 1) / qn[n + 1]
         return UniPoly(tuple(out))
 
 

@@ -3,12 +3,14 @@
 The pipeline is exact-first: restrictions to invariant degree spans are
 rational matrices, and an exact similarity to upper Hessenberg form (which
 they already have, since they raise the degree of ``b^k|0>`` by at most one)
-gives the characteristic polynomial by the leading-minor recurrence over
-Fractions.  Roots are found per square-free factor, scaled to a primitive
-integer polynomial: an integer Sturm chain isolates the real roots, rational
-ones are read off their exact intervals, and every other real root is
-certified by an exact bracket of width at most ``tol`` (then Newton-polished
-in floats).  Durand-Kerner iteration finds complex pairs, certified by
+gives the characteristic polynomial by the leading-minor recurrence.  The
+recurrence runs on polynomials that keep integer numerators over one common
+denominator (``UniPoly``), so it is integer arithmetic, and the coefficients
+are divided out to Fractions only when they are read.  Roots are found per
+square-free factor, scaled to a primitive integer polynomial: an integer
+Sturm chain isolates the real roots, rational ones are read off their exact
+intervals, and every other real root is certified by an exact bracket of
+width at most ``tol`` (then Newton-polished in floats).  Durand-Kerner iteration finds complex pairs, certified by
 ``|p(z)| / (1 + max|coeff|)``.
 
 Cross-realization isospectrality is therefore a decidable, bit-exact
@@ -135,16 +137,15 @@ def nullspace(a: Matrix) -> List[Tuple[Rational, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CharPoly(UniPoly):
     """Monic polynomial with exact rational coefficients, ascending order."""
 
-    coeffs: Tuple[Rational, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs or as_rational(self.coeffs[-1]) != 1:
+    def __init__(self, coeffs: Sequence[Rational]):
+        if not coeffs or as_rational(coeffs[-1]) != 1:
             raise ValueError("characteristic polynomial must be monic")
-        super().__post_init__()
+        super().__init__(coeffs)
 
     def eval_complex(self, z: complex) -> complex:
         return horner(self.coeffs, z)

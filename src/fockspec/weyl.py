@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from itertools import accumulate, zip_longest
+from math import comb, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
@@ -300,21 +301,76 @@ def horner(coeffs: Sequence, x):
     return acc
 
 
-@dataclass(frozen=True)
 class FockVector:
     """Vector ``sum coeffs[k] * b^k|0>``; trailing zeros trimmed, () is zero.
 
     Under the differential realization ``b^k|0>`` is ``x^k``, so the same
     type is the polynomial ``sum coeffs[k] x^k`` (``realizations.UniPoly``).
+
+    The coefficients are integer numerators over one positive common
+    denominator, normalized so that trailing zero numerators are trimmed
+    and numerators and denominator have gcd 1.  Arithmetic is integer
+    arithmetic with one normalization per operation, the fraction-free idea
+    of Bareiss (Math. Comp. 22, 1968); ``coeffs``, the tuple of
+    ``Fraction``s, is divided out only when it is read.  A vector built from
+    rationals keeps them and finds its numerators only when it first takes
+    part in arithmetic.  Instances are immutable.
     """
 
-    coeffs: Tuple[Rational, ...] = ()
+    __slots__ = ("_coeffs", "_nums", "_den")
 
-    def __post_init__(self):
-        cs = tuple(as_rational(c) for c in self.coeffs)
+    def __init__(self, coeffs: Sequence[RationalLike] = ()):
+        cs = tuple(as_rational(c) for c in coeffs)
         while cs and not cs[-1]:
             cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        self._coeffs = cs
+        self._nums = None
+
+    @staticmethod
+    def _of(nums: Tuple[int, ...], den: int) -> "FockVector":
+        """Vector of already normalized numerators over ``den``."""
+        v = object.__new__(FockVector)
+        v._coeffs, v._den, v._nums = None, den, nums
+        return v
+
+    @staticmethod
+    def _normalized(nums: list, den: int) -> "FockVector":
+        """Vector of ``nums / den`` (``den > 0``), trimmed and reduced."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        return FockVector._of(tuple(nums), den)
+
+    def _ints(self) -> Tuple[Tuple[int, ...], int]:
+        """Numerators and their common denominator.  For a vector built from
+        reduced rationals the lcm of their denominators is already coprime
+        to the numerators it gives."""
+        if self._nums is None:
+            cs = self._coeffs
+            den = lcm(*(c.denominator for c in cs))
+            self._den = den
+            self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        return self._nums, self._den
+
+    @property
+    def coeffs(self) -> Tuple[Rational, ...]:
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(x, den) for x in self._nums)
+        return self._coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(coeffs={self.coeffs!r})"
 
     @classmethod
     def basis(cls, k: int, coeff: RationalLike = 1) -> "FockVector":
@@ -330,12 +386,12 @@ class FockVector:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self._nums if self._coeffs is None else self._coeffs)
 
     @property
     def degree(self) -> int:
         """Top degree with nonzero coefficient, or -1 for the zero vector."""
-        return len(self.coeffs) - 1
+        return len(self._nums if self._coeffs is None else self._coeffs) - 1
 
     def __getitem__(self, k: int) -> Rational:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -344,66 +400,102 @@ class FockVector:
         return self[d]
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FockVector(tuple(self[k] + other[k] for k in range(n)))
+        return self._plus(other, 1)
 
     def __neg__(self) -> "FockVector":
         return self.scale(-1)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "FockVector", sign: int) -> "FockVector":
+        """``self + sign * other`` over the lcm of the two denominators."""
+        (a, da), (b, db) = self._ints(), other._ints()
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        if fa != 1:
+            a = [x * fa for x in a]
+        if fb != 1:
+            b = [x * fb for x in b]
+        return FockVector._normalized([x + y for x, y in zip_longest(a, b, fillvalue=0)], da * fa)
 
     def scale(self, c: RationalLike) -> "FockVector":
+        """``c`` times the vector.  The pair is reduced and so is ``c = s/t``,
+        so the gcd of ``s * nums`` and ``t * den`` is ``gcd(s, den) *
+        gcd(t, nums)``, found without a pass over products."""
         c = as_rational(c)
         if not c:
             return FockVector()
-        return FockVector(tuple(c * v for v in self.coeffs))
+        nums, den = self._ints()
+        g1, g2 = gcd(c.numerator, den), gcd(c.denominator, *nums)
+        s = c.numerator // g1
+        nums = [x // g2 * s for x in nums] if g2 != 1 else [x * s for x in nums]
+        return FockVector._of(tuple(nums), den // g1 * (c.denominator // g2))
 
     def monic(self) -> "FockVector":
-        lead = self.coeffs[-1]
-        return FockVector(tuple(c / lead for c in self.coeffs))
+        nums, den = self._ints()
+        return self.scale(Fraction(den, nums[-1]))
 
     def __divmod__(self, den: "FockVector") -> Tuple["FockVector", "FockVector"]:
-        """Polynomial long division: quotient and remainder."""
-        num, d = list(self.coeffs), den.coeffs
-        q = [Fraction(0)] * max(len(num) - len(d) + 1, 0)
-        inv = 1 / d[-1]
-        for shift in range(len(num) - len(d), -1, -1):
-            f = q[shift] = num[shift + len(d) - 1] * inv
-            if f:
-                for i, c in enumerate(d):
-                    num[shift + i] -= f * c
-        return FockVector(tuple(q)), FockVector(tuple(num))
+        """Polynomial long division: quotient and remainder.
+
+        Fraction-free: with ``lead`` the divisor's top numerator, each step
+        scales the remainder by ``lead / gcd(lead, top)`` so that the top
+        cancels in integers; the product ``s`` of those factors divides out
+        once at the end."""
+        (num, dn), (d, dd) = self._ints(), den._ints()
+        lead, top, s = d[-1], len(d) - 1, 1
+        rem, q = list(num), [0] * max(len(num) - top, 0)
+        for shift in range(len(q) - 1, -1, -1):
+            f = rem[shift + top]
+            if not f:
+                continue
+            g = gcd(lead, f)
+            m, f = lead // g, f // g
+            if m != 1:
+                rem, q, s = [m * x for x in rem], [m * x for x in q], s * m
+            q[shift] = f
+            for i, c in enumerate(d):
+                rem[shift + i] -= f * c
+        if s < 0:
+            rem, q, s = [-x for x in rem], [-x for x in q], -s
+        return (
+            FockVector._normalized([x * dd for x in q], s * dn),
+            FockVector._normalized(rem[:top], s * dn),
+        )
 
     def times_x(self) -> "FockVector":
         if self.is_zero:
             return self
-        return FockVector((Fraction(0),) + self.coeffs)
+        nums, den = self._ints()
+        return FockVector._of((0,) + nums, den)
 
     def derivative(self) -> "FockVector":
-        return FockVector(tuple(d * c for d, c in enumerate(self.coeffs))[1:])
+        nums, den = self._ints()
+        return FockVector._normalized([d * c for d, c in enumerate(nums)][1:], den)
 
     def shifted(self, h: RationalLike) -> "FockVector":
         """Exact ``f(x + h)`` by an integer Taylor shift (von zur Gathen and
         Gerhard, ISSAC 1997).
 
-        With ``h = s/t``, ``n`` the degree and ``D`` the common denominator,
-        ``q_d = D c_d s^d t^(n-d)`` are the integer coefficients of
-        ``D t^n f(h y)``; shifting them by one in integer additions gives
-        ``q'``, and coefficient ``r`` of ``f(x + h)`` is
-        ``q'_r / (D s^r t^(n-r))``.
+        With ``h = s/t``, ``n`` the degree and ``f = sum c_d x^d / D``,
+        ``q_d = c_d s^d t^(n-d)`` are the integer coefficients of
+        ``D t^n f(h y)``.  Shifting them by one, in ``n`` passes of suffix
+        sums, gives ``q'``, and ``f(x + h)`` is
+        ``sum (q'_r / s^r) t^r x^r / (D t^n)``, the division by ``s^r``
+        exact.
         """
         h = as_rational(h)
-        if not h or not self.coeffs:
+        if not h or self.is_zero:
             return self
-        s, t, n = h.numerator, h.denominator, len(self.coeffs) - 1
-        den = lcm(*(c.denominator for c in self.coeffs))
-        scales = [s**d * t ** (n - d) for d in range(n + 1)]
-        q = [den // c.denominator * c.numerator * w for c, w in zip(self.coeffs, scales)]
-        for i in range(n):
-            for k in range(n - 1, i - 1, -1):
-                q[k] += q[k + 1]
-        return FockVector(tuple(Fraction(v, den * w) for v, w in zip(q, scales)))
+        nums, den = self._ints()
+        s, t, n = h.numerator, h.denominator, len(nums) - 1
+        # reversed, so that each pass is a prefix sum: r[k] is q_(n-k)
+        r = [c * s**d * t ** (n - d) for d, c in enumerate(nums)][::-1]
+        for m in range(n + 1, 1, -1):
+            r[:m] = accumulate(r[:m])
+        out = [v // s**d * t**d for d, v in enumerate(reversed(r))]
+        return FockVector._normalized(out, den * t**n)
 
     def __call__(self, x: RationalLike) -> Rational:
         return horner(self.coeffs, as_rational(x))

@@ -401,14 +401,27 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert code == 0 and payload["config"]["degree_cap"] == 3
 
 
-def test_lame_64_isospectral_is_fast():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            ["--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=64", "--n", "64",
+             "--fibers", "0"],
+            id="lame",
+        ),
+        # reaches the complex fiber m = 1 at the envelope
+        pytest.param(
+            ["--op", "sextic", "--bind", "alpha=1", "--bind", "beta=1", "--bind", "n=64",
+             "--n", "64", "--fibers", "0,1"],
+            id="sextic",
+        ),
+    ],
+)
+def test_lame_64_isospectral_is_fast(argv):
     # the design envelope: degree 64 over the default lattices within seconds
     import time
 
     start = time.perf_counter()
-    code, payload = run_json(
-        "isospectral", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=64",
-        "--n", "64", "--fibers", "0",
-    )
+    code, payload = run_json("isospectral", *argv)
     assert code == 0 and payload["result"]["equal"] is True
     assert time.perf_counter() - start < 8.0

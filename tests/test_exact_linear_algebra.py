@@ -9,9 +9,9 @@ import sympy
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from fockspec.catalog import hermite
+from fockspec.catalog import hermite, lame
 from fockspec.opdsl import lower, parse
-from fockspec.realizations import Differential
+from fockspec.realizations import DeltaLattice, Differential, QLattice
 from fockspec.spectra import char_poly, mat_vec, nullspace, restrict, spectrum
 
 from strategies import banded_matrices, low_rank_matrices
@@ -19,6 +19,14 @@ from strategies import banded_matrices, low_rank_matrices
 #: invariant at n = 5 with lower bandwidth 2: not upper Hessenberg, so the
 #: similarity to Hessenberg form has work to do
 BANDWIDTH_TWO = restrict(lower(parse("b^2*(b*a-5)*(b*a-4) + b*a"), {}), Differential(), 5)
+
+#: lattice restrictions whose entries carry large denominators: Lame(2, 1, 16)
+#: at q = 1/2 and delta = 1/3, and a multi-digit Lame at n = 16
+LATTICE_RESTRICTIONS = [
+    restrict(lame(2, 1, 16).element, QLattice(F(1, 2)), 16),
+    restrict(lame(2, 1, 16).element, DeltaLattice(F(1, 3)), 16),
+    restrict(lame(F(691245, 40257), F(394857, 87109), 16).element, DeltaLattice(F(1, 3)), 16),
+]
 
 
 def sympy_matrix(rows):
@@ -32,6 +40,9 @@ def test_bandwidth_two_example_is_not_hessenberg():
 
 @given(banded_matrices())
 @example(BANDWIDTH_TWO)
+@example(LATTICE_RESTRICTIONS[0])
+@example(LATTICE_RESTRICTIONS[1])
+@example(LATTICE_RESTRICTIONS[2])
 @settings(max_examples=200, deadline=None)
 def test_char_poly_matches_sympy(m):
     t = sympy.Symbol("t")

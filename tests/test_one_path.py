@@ -8,10 +8,15 @@ the repeated product stays the reference.  Horner keeps the float operation
 order of the loop it replaced.  ``Realization.apply`` shares a-powers and
 b-chains; the term-by-term action stays the reference.  ``shifted`` is an
 integer Taylor shift; the binomial expansion stays the reference.
+``FockVector`` keeps integer numerators over one common denominator; the
+per-coefficient ``Fraction`` implementation stays the reference.  The
+q-lattice reads ``{k}_q`` from a table; ``q_number`` stays the reference.
 """
 
+import re
+from dataclasses import dataclass
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd, lcm
 from unittest import mock
 
 import pytest
@@ -25,6 +30,7 @@ from fockspec.realizations import (
     Differential,
     QLattice,
     Realization,
+    q_number,
     realize_matrix,
 )
 from fockspec.solvability import (
@@ -263,3 +269,178 @@ def test_shifted_edge_cases():
     assert f.shifted(F(-1, 2)) == _binomial_shift(f, F(-1, 2))
     # (x - 1)^3 shifted by 1 is x^3
     assert FockVector((-1, 3, -3, 1)).shifted(1) == FockVector((0, 0, 0, 1))
+
+
+# -- integer numerators over one common denominator --------------------------------
+
+
+@dataclass(frozen=True)
+class _FractionVector:
+    """The per-coefficient ``Fraction`` implementation of ``FockVector`` that
+    the integer numerators over one denominator replaced."""
+
+    coeffs: tuple = ()
+
+    def __post_init__(self):
+        cs = tuple(F(c) for c in self.coeffs)
+        while cs and not cs[-1]:
+            cs = cs[:-1]
+        object.__setattr__(self, "coeffs", cs)
+
+    def __getitem__(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else F(0)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return _FractionVector(tuple(self[k] + other[k] for k in range(n)))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = F(c)
+        if not c:
+            return _FractionVector()
+        return _FractionVector(tuple(c * v for v in self.coeffs))
+
+    def monic(self):
+        lead = self.coeffs[-1]
+        return _FractionVector(tuple(c / lead for c in self.coeffs))
+
+    def __divmod__(self, den):
+        num, d = list(self.coeffs), den.coeffs
+        q = [F(0)] * max(len(num) - len(d) + 1, 0)
+        inv = 1 / d[-1]
+        for shift in range(len(num) - len(d), -1, -1):
+            f = q[shift] = num[shift + len(d) - 1] * inv
+            if f:
+                for i, c in enumerate(d):
+                    num[shift + i] -= f * c
+        return _FractionVector(tuple(q)), _FractionVector(tuple(num))
+
+    def times_x(self):
+        if not self.coeffs:
+            return self
+        return _FractionVector((F(0),) + self.coeffs)
+
+    def derivative(self):
+        return _FractionVector(tuple(d * c for d, c in enumerate(self.coeffs))[1:])
+
+    def shifted(self, h):
+        h = F(h)
+        if not h or not self.coeffs:
+            return self
+        s, t, n = h.numerator, h.denominator, len(self.coeffs) - 1
+        den = lcm(*(c.denominator for c in self.coeffs))
+        scales = [s**d * t ** (n - d) for d in range(n + 1)]
+        q = [den // c.denominator * c.numerator * w for c, w in zip(self.coeffs, scales)]
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                q[k] += q[k + 1]
+        return _FractionVector(tuple(F(v, den * w) for v, w in zip(q, scales)))
+
+    def split(self, n):
+        above = self.coeffs[n + 1:]
+        leak = _FractionVector((F(0),) * (n + 1) + above) if above else _FractionVector()
+        return self.coeffs[:n + 1], leak
+
+
+def _same(v, ref):
+    """``v`` holds the reference's coefficients, in normalized numerators
+    over a positive denominator, and compares, hashes and prints like a
+    vector built from those coefficients."""
+    assert type(v) is FockVector and v.coeffs == ref.coeffs
+    assert all(type(c) is F for c in v.coeffs)
+    nums, den = v._ints()
+    assert den > 0 and gcd(den, *nums) == 1 and (not nums or nums[-1])
+    assert tuple(F(x, den) for x in nums) == ref.coeffs
+    built = FockVector(ref.coeffs)
+    assert v == built and hash(v) == hash(built) and repr(v) == repr(built)
+    assert v.degree == len(ref.coeffs) - 1 and v.is_zero == (not ref.coeffs)
+
+
+def _vector(coeffs, integer_backed):
+    """The vector of ``coeffs``, as built from rationals or as the result of
+    integer arithmetic."""
+    v = FockVector(coeffs)
+    return v.scale(1) if integer_backed else v
+
+
+big_rationals = st.one_of(st.just(F(0)), rationals(10**6, 10**6))
+coefficient_lists = st.lists(big_rationals, max_size=8)
+
+
+@given(coefficient_lists, coefficient_lists, big_rationals, st.booleans(), st.booleans())
+@example([F(1, 3), F(-5, 999999)], [F(1, 3), F(-5, 999999)], F(0), True, False)  # p - p
+@example([F(1, 6), F(1, 10)], [F(-1, 6), F(1, 15)], F(10**6), False, True)  # den 30 -> 15
+@settings(max_examples=300, deadline=None)
+def test_integer_vector_arithmetic_equals_fractions(a, b, c, int_a, int_b):
+    p, q = _vector(a, int_a), _vector(b, int_b)
+    rp, rq = _FractionVector(tuple(a)), _FractionVector(tuple(b))
+    _same(p + q, rp + rq)
+    _same(p - q, rp - rq)
+    _same(p - p, rp - rp)
+    _same(-p, -rp)
+    _same(p.scale(c), rp.scale(c))
+    _same(p.scale(0), rp.scale(0))
+    _same(p.times_x(), rp.times_x())
+    _same(p.derivative(), rp.derivative())
+    assert (p == q) == (rp == rq)
+    if rp.coeffs:
+        _same(p.monic(), rp.monic())
+    if rq.coeffs:
+        for got, want in zip(divmod(p, q), divmod(rp, rq)):
+            _same(got, want)
+    for n in range(-1, len(a) + 1):
+        coords, leak = p.split(n)
+        want_coords, want_leak = rp.split(n)
+        assert coords == want_coords
+        _same(leak, want_leak)
+    assert p(c) == sum(v * c**d for d, v in enumerate(rp.coeffs))
+    assert [p[k] for k in range(-1, len(a) + 1)] == [rp[k] for k in range(-1, len(a) + 1)]
+
+
+@given(coefficient_lists, big_rationals, st.booleans())
+@example([], F(-7, 2), True)
+@example([F(1, 3), F(0), F(-5, 999999)], F(-1, 10**6), True)
+@settings(max_examples=200, deadline=None)
+def test_integer_vector_shift_equals_fractions(a, h, integer_backed):
+    p, ref = _vector(a, integer_backed), _FractionVector(tuple(a))
+    _same(p.shifted(h), ref.shifted(h))
+    _same(p.shifted(-h), ref.shifted(-h))
+    _same(p.shifted(h).shifted(-h), ref)
+
+
+def test_integer_vector_keeps_the_errors():
+    with pytest.raises(IndexError):
+        FockVector().monic()
+    with pytest.raises(IndexError):
+        divmod(FockVector((1, 2)), FockVector())
+    # only vectors of one type compare equal, as before
+    cp = char_poly([[F(1, 2)]])
+    assert cp != FockVector(cp.coeffs) and FockVector(cp.coeffs) != cp
+    assert cp.scale(1) == FockVector(cp.coeffs)
+
+
+# -- the q-number table ----------------------------------------------------------
+
+
+@given(st.one_of(st.just(F(-1)), nonzero_rationals().filter(lambda q: q != 1)), coefficient_lists)
+@settings(max_examples=150, deadline=None)
+def test_q_lattice_table_equals_the_horner_q_numbers(q, coeffs):
+    """The lattice actions read ``{k}_q`` from a table; per coefficient,
+    ``q_number`` stays the definition, and a vanishing ``{n+1}_q`` raises at
+    the lowest nonzero coefficient it meets."""
+    r, p = QLattice(q), FockVector(coeffs)
+    lowered = [c * q_number(n, q) for n, c in enumerate(p.coeffs)][1:]
+    assert r.act_a(p) == FockVector(lowered)
+    undefined = [n for n, c in enumerate(p.coeffs) if c and not q_number(n + 1, q)]
+    if undefined:
+        with pytest.raises(ValueError, match=re.escape(f"{{{undefined[0] + 1}}}_q = 0")):
+            r.act_b(p)
+    else:
+        raised = [F(0)] + [c and c * (n + 1) / q_number(n + 1, q) for n, c in enumerate(p.coeffs)]
+        assert r.act_b(p) == FockVector(raised)
