@@ -12,22 +12,24 @@ generator actions, label and matrix assembly.  The univariate realizations
 act on :class:`UniPoly` in the monomial basis; a polynomial is the Fock
 vector of its coefficients (``x^k`` for ``b^k|0>``), so ``UniPoly`` is
 :class:`~fockspec.weyl.FockVector`.  The complex plane acts on
-:class:`BiPoly` and is exposed only through fiber matrices over a vacuum
-``z^m``.  Everything is exact rational arithmetic.
+:class:`BiPoly`, whose rows (one zbar-polynomial per power of z) are that
+same type, and is exposed only through fiber matrices over a vacuum
+``z^m``.  Every image is one linear combination of the actions it needs.
+Everything is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, Tuple, Union
 
 from .weyl import (
     FlagMatrix,
     FockVector,
     Rational,
     RationalLike,
-    SparseTerms,
     WeylElement,
     as_rational,
     flag_matrix,
@@ -41,50 +43,109 @@ class SingularBasisError(Exception):
     """Fiber basis failed its independence check (an implementation bug)."""
 
 
-class BiPoly(SparseTerms):
-    """Polynomial in (z, zbar): a map from ``(z-exp, zbar-exp)`` to coefficient."""
+class BiPoly:
+    """Polynomial in (z, zbar), stored as rows of the one polynomial type:
+    row ``p`` is the :class:`UniPoly` in zbar that multiplies ``z^p``, and
+    trailing zero rows are trimmed.
 
-    __slots__ = ()
+    It is built from a map or pairs ``(z-exp, zbar-exp) -> coefficient``,
+    with repeated keys summed and zeros dropped, and reads back the same
+    way through ``terms``.  Instances are immutable and hashable.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, terms: Union[Mapping, Iterable, None] = None):
+        rows: list = []
+        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
+        for (p, q), c in items:
+            p, q = int(p), int(q)
+            if p < 0 or q < 0:
+                raise ValueError(f"negative exponent ({p}, {q})")
+            c = as_rational(c)
+            if c:
+                rows += [[] for _ in range(p + 1 - len(rows))]
+                rows[p] += [Fraction(0)] * (q + 1 - len(rows[p]))
+                rows[p][q] += c
+        self._rows = BiPoly._of([UniPoly(row) for row in rows])._rows
+
+    @staticmethod
+    def _of(rows: list) -> "BiPoly":
+        """BiPoly of the rows, trailing zero rows trimmed."""
+        while rows and rows[-1].is_zero:
+            rows.pop()
+        f = object.__new__(BiPoly)
+        f._rows = tuple(rows)
+        return f
+
+    def _row(self, p: int) -> UniPoly:
+        return self._rows[p] if 0 <= p < len(self._rows) else UniPoly()
+
+    @staticmethod
+    def combination(pairs: Iterable[Tuple["BiPoly", RationalLike]]) -> "BiPoly":
+        """``sum c * f`` over the ``(f, c)`` pairs, row by row."""
+        pairs = [(f._rows, c) for f, c in pairs]
+        size = max((len(rows) for rows, _ in pairs), default=0)
+        return BiPoly._of([
+            UniPoly.combination([(rows[p], c) for rows, c in pairs if p < len(rows)])
+            for p in range(size)
+        ])
 
     @classmethod
     def monomial(cls, p: int, q: int, coeff: RationalLike = 1) -> "BiPoly":
         return cls({(p, q): coeff})
 
     def coeff(self, p: int, q: int) -> Rational:
-        return self.coefficient(p, q)
+        return self._row(p)[q]
+
+    @property
+    def terms(self) -> Mapping[Tuple[int, int], Rational]:
+        """Read-only map from ``(z-exp, zbar-exp)`` to nonzero coefficient."""
+        return MappingProxyType({
+            (p, q): c
+            for p, row in enumerate(self._rows) for q, c in enumerate(row.coeffs) if c
+        })
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._rows
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        return BiPoly([*self._terms.items(), *other._terms.items()])
+        return BiPoly.combination([(self, 1), (other, 1)])
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + other.scale(-1)
+        return BiPoly.combination([(self, 1), (other, -1)])
 
     def scale(self, c: RationalLike) -> "BiPoly":
-        c = as_rational(c)
-        return BiPoly({key: c * v for key, v in self._terms.items()})
+        return BiPoly.combination([(self, c)])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._rows == other._rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "BiPoly(0)"
-        body = " + ".join(
-            f"{c}*z^{p}*zbar^{q}" for (p, q), c in sorted(self._terms.items())
-        )
+        body = " + ".join(f"{c}*z^{p}*zbar^{q}" for (p, q), c in self.terms.items())
         return f"BiPoly({body})"
 
 
 def complex_act_a(f: BiPoly) -> BiPoly:
-    """d/dzbar: z^p zbar^q -> q z^p zbar^(q-1)."""
-    return BiPoly(
-        {(p, q - 1): q * c for (p, q), c in f.terms.items() if q}
-    )
+    """d/dzbar: z^p zbar^q -> q z^p zbar^(q-1), the derivative of each row."""
+    return BiPoly._of([row.derivative() for row in f._rows])
 
 
 def complex_act_b(f: BiPoly) -> BiPoly:
-    """-d/dz + zbar: z^p zbar^q -> -p z^(p-1) zbar^q + z^p zbar^(q+1)."""
-    return BiPoly(
-        [((p - 1, q), -p * c) for (p, q), c in f.terms.items() if p]
-        + [((p, q + 1), c) for (p, q), c in f.terms.items()]
-    )
+    """-d/dz + zbar: z^p zbar^q -> -p z^(p-1) zbar^q + z^p zbar^(q+1), so
+    row p becomes zbar * (row p) - (p+1) * (row p+1)."""
+    return BiPoly._of([
+        UniPoly.combination([(row.times_x(), 1), (f._row(p + 1), -(p + 1))])
+        for p, row in enumerate(f._rows)
+    ])
 
 
 def q_number(n: int, q: Rational) -> Rational:
@@ -113,17 +174,18 @@ class Realization:
         Each ``a^j p`` is computed once and each b-chain ``b^i(a^j p)`` once
         per ``j``, both extended only as far as the terms met so far need, in
         term order.  So the actions computed are exactly those of acting term
-        by term, and an action that raises does so at the same term.
+        by term, and an action that raises does so at the same term.  The
+        image is their one linear combination.
         """
-        a_powers, b_chains, total = [p], {}, type(p)()
+        a_powers, b_chains, parts = [p], {}, []
         for (i, j), c in u.terms.items():
             while len(a_powers) <= j:
                 a_powers.append(self.act_a(a_powers[-1]))
             chain = b_chains.setdefault(j, [a_powers[j]])
             while len(chain) <= i:
                 chain.append(self.act_b(chain[-1]))
-            total = total + chain[i].scale(c)
-        return total
+            parts.append((chain[i], c))
+        return type(p).combination(parts)
 
     def matrix(self, u: WeylElement, n_max: int) -> FlagMatrix:
         """Matrix of ``u`` in the monomial basis ``{x^0 .. x^n_max}``, with
@@ -302,19 +364,28 @@ def complex_fiber_matrix(u: WeylElement, m: int, n_max: int) -> FlagMatrix:
     basis = [BiPoly.monomial(m, 0)]
     for _ in range(n_max):
         basis.append(complex_act_b(basis[-1]))
+
+    def marker_row(f: BiPoly) -> Tuple[Rational, ...]:
+        """Coefficients of ``z^m zbar^r`` in ``f``, r = 0..n_max."""
+        row = f._row(m).coeffs[:size]
+        return row + (Fraction(0),) * (size - len(row))
+
     for k, e in enumerate(basis):
-        if e.coeff(m, k) != 1 or any(e.coeff(m, r) for r in range(size) if r != k):
+        if marker_row(e) != tuple(int(r == k) for r in range(size)):
             raise SingularBasisError(
                 f"fiber basis element {k} lost its marker monomial z^{m} zbar^{k}"
             )
     columns = []
     for k in range(size):
-        w, coords = ComplexPlane().apply(u, basis[k]), [Fraction(0)] * size
-        for r in range(n_max, -1, -1):
-            coords[r] = w.coeff(m, r)
-            if coords[r]:
-                w = w - basis[r].scale(coords[r])
-        columns.append((coords, w))
+        w = ComplexPlane().apply(u, basis[k])
+        # the check above proves row m of basis[r] is exactly zbar^r on
+        # degrees 0..n_max, so subtracting it changes no other coordinate
+        # and all of them can be read off w before any subtraction
+        coords = marker_row(w)
+        residual = BiPoly.combination(
+            [(w, 1)] + [(basis[r], -c) for r, c in enumerate(coords) if c]
+        )
+        columns.append((coords, residual))
     return FlagMatrix.from_columns(columns)
 
 

@@ -174,7 +174,9 @@ def char_poly(m: Matrix) -> CharPoly:
     each column below its subdiagonal (a nonzero entry is swapped onto the
     subdiagonal first), and the leading principal minors of the Hessenberg
     form follow from ``p_k = (t - h_kk) p_{k-1} - sum_{i<k} h_ik
-    h_{i+1,i}...h_{k,k-1} p_{i-1}``, a sum that ends at a zero subdiagonal."""
+    h_{i+1,i}...h_{k,k-1} p_{i-1}``, a sum that ends at a zero subdiagonal
+    or at the top nonzero entry of column k, and is formed as one linear
+    combination."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -194,15 +196,15 @@ def char_poly(m: Matrix) -> CharPoly:
                     row[s] += f * row[i]
     minors = [UniPoly.one()]
     for k in range(n):
-        p = minors[k].times_x() - minors[k].scale(h[k][k])
-        chain = Fraction(1)
-        for i in range(k - 1, -1, -1):
+        parts = [(minors[k].times_x(), 1), (minors[k], -h[k][k])]
+        top, chain = next((i for i in range(k) if h[i][k]), k), Fraction(1)
+        for i in range(k - 1, top - 1, -1):
             chain *= h[i + 1][i]
             if not chain:
                 break
             if h[i][k]:
-                p = p - minors[i].scale(h[i][k] * chain)
-        minors.append(p)
+                parts.append((minors[i], -h[i][k] * chain))
+        minors.append(UniPoly.combination(parts))
     return CharPoly(minors[n].coeffs)
 
 
@@ -238,7 +240,7 @@ def _poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd: the last member of the integer remainder sequence."""
     if b.is_zero:
         return a.monic()
-    return UniPoly(_sturm_chain(_primitive(a.coeffs), _primitive(b.coeffs))[-1]).monic()
+    return UniPoly(_sturm_chain(_primitive(a.numerators), _primitive(b.numerators))[-1]).monic()
 
 
 def _square_free_decomposition(p: UniPoly):
@@ -260,11 +262,10 @@ def _square_free_decomposition(p: UniPoly):
         mult += 1
 
 
-def _primitive(coeffs: Sequence[Rational]) -> List[int]:
-    """``coeffs`` times the positive rational that makes them coprime
-    integers (signs are kept)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+def _primitive(ints: Sequence[int]) -> List[int]:
+    """``ints`` divided by their content, so coprime (signs are kept).  The
+    numerators of a ``UniPoly`` are its coefficients scaled to integers, so
+    this makes its primitive integer polynomial."""
     g = math.gcd(*ints)
     return [c // g for c in ints]
 
@@ -445,8 +446,8 @@ def roots(
     exact_roots: List[Rational] = []
     numeric: List[Tuple[float, float, int]] = []  # (re, im, multiplicity)
     for factor, mult in _square_free_decomposition(p):
-        ints = _primitive(factor.coeffs)
-        chain = _sturm_chain(ints, _primitive(UniPoly(ints).derivative().coeffs))
+        ints = _primitive(factor.numerators)
+        chain = _sturm_chain(ints, _primitive([d * c for d, c in enumerate(ints)][1:]))
         rational, intervals = _isolate_real_roots(chain)
         n_complex = factor.degree - len(rational) - len(intervals)
         for a, b, k in intervals:

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from math import comb, gcd, lcm
+import operator
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
@@ -68,10 +69,12 @@ TermKey = Tuple[int, int]
 TermMap = Mapping[TermKey, Rational]
 
 
-class SparseTerms:
-    """Sparse polynomial in two exponents: a map from ``(i, j)`` to an exact
-    coefficient.  Repeated keys are summed and zero coefficients dropped on
-    construction.  Instances are immutable and hashable.
+class WeylElement:
+    """Normal-ordered element: a map from ``(b-exp, a-exp)`` to coefficient.
+
+    Repeated keys are summed and zero coefficients dropped on construction,
+    so the stored map is the unique normal form.  Instances are immutable
+    and hashable.
     """
 
     __slots__ = ("_terms",)
@@ -101,24 +104,6 @@ class SparseTerms:
     def coefficient(self, i: int, j: int) -> Rational:
         return self._terms.get((i, j), Fraction(0))
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is type(self):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-
-class WeylElement(SparseTerms):
-    """Normal-ordered element: a map from ``(b-exp, a-exp)`` to coefficient.
-
-    The stored map is the unique normal form; zero coefficients are never
-    kept.  Instances are immutable and hashable.
-    """
-
-    __slots__ = ()
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -144,9 +129,12 @@ class WeylElement(SparseTerms):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             return self == WeylElement({(0, 0): other})
-        return super().__eq__(other)
+        if type(other) is type(self):
+            return self._terms == other._terms
+        return NotImplemented
 
-    __hash__ = SparseTerms.__hash__
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
 
     # -- arithmetic sugar (delegates to the module-level operations) --------
 
@@ -355,6 +343,13 @@ class FockVector:
         return self._nums, self._den
 
     @property
+    def numerators(self) -> Tuple[int, ...]:
+        """Integer numerators over the common denominator; they and the
+        denominator have gcd 1, so they are the coefficients scaled by the
+        lcm of their denominators."""
+        return self._ints()[0]
+
+    @property
     def coeffs(self) -> Tuple[Rational, ...]:
         if self._coeffs is None:
             den = self._den
@@ -400,24 +395,40 @@ class FockVector:
         return self[d]
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        return self._plus(other, 1)
+        return FockVector.combination([(self, 1), (other, 1)])
 
     def __neg__(self) -> "FockVector":
         return self.scale(-1)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self._plus(other, -1)
+        return FockVector.combination([(self, 1), (other, -1)])
 
-    def _plus(self, other: "FockVector", sign: int) -> "FockVector":
-        """``self + sign * other`` over the lcm of the two denominators."""
-        (a, da), (b, db) = self._ints(), other._ints()
-        g = gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
-        if fa != 1:
-            a = [x * fa for x in a]
-        if fb != 1:
-            b = [x * fb for x in b]
-        return FockVector._normalized([x + y for x, y in zip_longest(a, b, fillvalue=0)], da * fa)
+    @staticmethod
+    def combination(pairs: Iterable[Tuple["FockVector", RationalLike]]) -> "FockVector":
+        """``sum c * v`` over the ``(v, c)`` pairs, accumulated in integers
+        over the lcm of the denominators of the terms and normalized once;
+        an empty sum is the zero vector."""
+        terms = []
+        for v, c in pairs:
+            if type(c) is not int:
+                c = as_rational(c)
+            if c:
+                nums, den = v._ints()
+                if nums:
+                    terms.append((len(nums), nums, c.numerator, c.denominator * den))
+        if not terms:
+            return FockVector()
+        terms.sort(key=operator.itemgetter(0), reverse=True)  # the longest first
+        den = lcm(*[d for _, _, _, d in terms])
+        acc = None
+        for size, nums, s, d in terms:
+            f = den // d * s
+            scaled = nums if f == 1 else map(f.__mul__, nums)
+            if acc is None:
+                acc = list(scaled)
+            else:
+                acc[:size] = map(operator.add, acc, scaled)
+        return FockVector._normalized(acc, den)
 
     def scale(self, c: RationalLike) -> "FockVector":
         """``c`` times the vector.  The pair is reduced and so is ``c = s/t``,

@@ -135,11 +135,27 @@ def test_spectrum_delta_realization():
     assert payload["result"]["char_poly"]["coeffs"] == ["0", "-6", "11", "-6", "1"]
 
 
-def test_spectrum_leakage_exits_3():
-    code, payload = run_json("spectrum", "--expr", "b", "--n", "2")
+@pytest.mark.parametrize(
+    "argv, column, overflow",
+    [
+        pytest.param(["--expr", "b"], 2, ["0", "0", "0", "1"], id="differential"),
+        # a complex-fiber leakage prints as the BiPoly repr
+        pytest.param(
+            ["--expr", "b*b*a", "--realization", "complex"], 2, "BiPoly(2*z^0*zbar^3)",
+            id="complex",
+        ),
+        pytest.param(
+            ["--expr", "1/3*b*b*a + b", "--realization", "complex", "--fiber-m", "2"], 2,
+            "BiPoly(10*z^0*zbar^1 + -10*z^1*zbar^2 + 5/3*z^2*zbar^3)",
+            id="complex-m2",
+        ),
+    ],
+)
+def test_spectrum_leakage_exits_3(argv, column, overflow):
+    code, payload = run_json("spectrum", *argv, "--n", "2")
     assert code == 3
-    assert payload["result"]["leakage"]["column"] == 2
-    assert payload["result"]["leakage"]["overflow"] == ["0", "0", "0", "1"]
+    assert payload["result"]["leakage"]["column"] == column
+    assert payload["result"]["leakage"]["overflow"] == overflow
 
 
 def test_spectrum_complex_fiber():

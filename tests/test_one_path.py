@@ -11,6 +11,12 @@ integer Taylor shift; the binomial expansion stays the reference.
 ``FockVector`` keeps integer numerators over one common denominator; the
 per-coefficient ``Fraction`` implementation stays the reference.  The
 q-lattice reads ``{k}_q`` from a table; ``q_number`` stays the reference.
+Each image, fiber residual and leading minor is one linear combination;
+the sequential fold stays the reference.  ``BiPoly`` keeps rows of
+``FockVector``s; the map of ``Fraction``s, the term-by-term action and the
+subtraction loop of the fiber assembly stay the reference.  Root isolation
+reads a polynomial's integer numerators; the ``Fraction`` primitive part
+stays the reference.
 """
 
 import re
@@ -25,11 +31,15 @@ import hypothesis.strategies as st
 
 from fockspec.catalog import hermite, jplus, lame, sextic
 from fockspec.realizations import (
+    BiPoly,
     ComplexFiber,
     DeltaLattice,
     Differential,
     QLattice,
     Realization,
+    complex_act_a,
+    complex_act_b,
+    complex_fiber_matrix,
     q_number,
     realize_matrix,
 )
@@ -42,7 +52,7 @@ from fockspec.solvability import (
     qes_constraint_residuals,
     qes_leakage_residuals,
 )
-from fockspec.spectra import char_poly, restrict
+from fockspec.spectra import _primitive, char_poly, restrict
 from fockspec.weyl import (
     DegreeOverflowError,
     FockVector,
@@ -53,7 +63,7 @@ from fockspec.weyl import (
     power,
 )
 
-from strategies import nonzero_rationals, rationals, weyl_elements
+from strategies import banded_matrices, nonzero_rationals, rationals, weyl_elements
 
 HERMITE = hermite().element
 
@@ -444,3 +454,221 @@ def test_q_lattice_table_equals_the_horner_q_numbers(q, coeffs):
     else:
         raised = [F(0)] + [c and c * (n + 1) / q_number(n + 1, q) for n, c in enumerate(p.coeffs)]
         assert r.act_b(p) == FockVector(raised)
+
+
+# -- one linear combination per image --------------------------------------------
+
+
+def _fold(pairs):
+    """The sequential ``total + v.scale(c)`` fold that ``combination`` replaced."""
+    total = FockVector()
+    for v, c in pairs:
+        total = total + v.scale(c)
+    return total
+
+
+@st.composite
+def combination_pairs(draw):
+    """``(vector, coefficient)`` pairs, some repeated with the coefficient
+    that cancels them."""
+    pairs = [
+        (_vector(draw(coefficient_lists), draw(st.booleans())), draw(big_rationals))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    for v, c in list(pairs):
+        if draw(st.booleans()):
+            pairs.append((v.scale(2), -c / 2))
+    return draw(st.permutations(pairs))
+
+
+@given(combination_pairs())
+@example([])
+@example([(FockVector((F(1, 3), F(-5, 999999))), F(0))])
+@example([(FockVector((F(1, 6), F(1, 10))), 1), (FockVector((F(-1, 6), F(1, 15))), 1)])
+@example([(FockVector((F(1, 3), 2)), F(7, 10**6)), (FockVector((F(1, 3), 2)).scale(F(7, 10**6)), -1)])
+@settings(max_examples=300, deadline=None)
+def test_combination_equals_the_sequential_fold(pairs):
+    reference = _FractionVector()
+    for v, c in pairs:
+        reference = reference + _FractionVector(v.coeffs).scale(c)
+    _same(FockVector.combination(pairs), reference)
+    assert FockVector.combination(pairs) == _fold(pairs)
+
+
+class _DictBiPoly:
+    """The map from ``(z-exp, zbar-exp)`` to ``Fraction`` that the rows of
+    ``BiPoly`` replaced."""
+
+    def __init__(self, terms=None):
+        acc = {}
+        items = terms.items() if isinstance(terms, dict) else (terms or ())
+        for (i, j), c in items:
+            i, j = int(i), int(j)
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent ({i}, {j})")
+            c = F(c)
+            if c:
+                acc[(i, j)] = acc.get((i, j), F(0)) + c
+        self._terms = {k: v for k, v in acc.items() if v}
+
+    @property
+    def is_zero(self):
+        return not self._terms
+
+    def coeff(self, p, q):
+        return self._terms.get((p, q), F(0))
+
+    def __add__(self, other):
+        return _DictBiPoly([*self._terms.items(), *other._terms.items()])
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = F(c)
+        return _DictBiPoly({key: c * v for key, v in self._terms.items()})
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self):
+        if self.is_zero:
+            return "BiPoly(0)"
+        body = " + ".join(f"{c}*z^{p}*zbar^{q}" for (p, q), c in sorted(self._terms.items()))
+        return f"BiPoly({body})"
+
+    def act_a(self):
+        return _DictBiPoly({(p, q - 1): q * c for (p, q), c in self._terms.items() if q})
+
+    def act_b(self):
+        return _DictBiPoly(
+            [((p - 1, q), -p * c) for (p, q), c in self._terms.items() if p]
+            + [((p, q + 1), c) for (p, q), c in self._terms.items()]
+        )
+
+
+def _same_bipoly(f, ref):
+    """``f`` holds the reference's terms and reads, hashes and prints like it."""
+    assert type(f) is BiPoly
+    assert dict(f.terms) == ref._terms and all(type(c) is F for c in f.terms.values())
+    assert f.is_zero == ref.is_zero and hash(f) == hash(ref) and repr(f) == repr(ref)
+    assert f == BiPoly(ref._terms) and hash(f) == hash(BiPoly(ref._terms))
+    assert all(f.coeff(p, q) == ref.coeff(p, q) for p in range(-1, 7) for q in range(-1, 9))
+    assert not f._rows or not f._rows[-1].is_zero
+
+
+# rows 0..5 with gaps; a term and its negation leave a zero row
+bipoly_terms = st.lists(
+    st.tuples(st.tuples(st.integers(0, 5), st.integers(0, 6)), big_rationals), max_size=8
+).flatmap(lambda ts: st.just(ts + [(k, -c) for k, c in ts[:2]]) | st.just(ts))
+
+
+@given(bipoly_terms, bipoly_terms, big_rationals)
+@example([((3, 1), F(1, 2)), ((1, 0), 4), ((3, 1), F(-1, 2))], [((0, 2), F(0))], F(-3, 7))
+@settings(max_examples=300, deadline=None)
+def test_row_bipoly_equals_the_dict_bipoly(a, b, c):
+    f, g, rf, rg = BiPoly(a), BiPoly(dict(b)), _DictBiPoly(a), _DictBiPoly(dict(b))
+    _same_bipoly(f, rf)
+    _same_bipoly(g, rg)
+    _same_bipoly(f + g, rf + rg)
+    _same_bipoly(f - g, rf - rg)
+    _same_bipoly(f - f, rf - rf)
+    _same_bipoly(f.scale(c), rf.scale(c))
+    _same_bipoly(complex_act_a(f), rf.act_a())
+    _same_bipoly(complex_act_b(f), rf.act_b())
+    _same_bipoly(complex_act_b(complex_act_b(g)), rg.act_b().act_b())
+    _same_bipoly(BiPoly.combination([(f, c), (g, -1), (f, 1)]), rf.scale(c) - rg + rf)
+    assert (f == g) == (rf._terms == rg._terms)
+    assert BiPoly.monomial(2, 3, c) == BiPoly({(2, 3): c})
+
+
+def test_row_bipoly_keeps_the_errors():
+    for bad in ({(-1, 0): 1}, [((0, -2), 0)]):
+        with pytest.raises(ValueError, match=re.escape("negative exponent")):
+            BiPoly(bad)
+    with pytest.raises(TypeError):
+        BiPoly({(0, 0): 1.5})
+    with pytest.raises(TypeError):
+        BiPoly.monomial(0, 0).terms[(0, 0)] = 2
+    assert BiPoly() == BiPoly([]) == BiPoly.combination([]) and repr(BiPoly()) == "BiPoly(0)"
+
+
+def _subtraction_fiber_matrix(u, m, n_max):
+    """The fiber assembly the row-backed one replaced: dict ``BiPoly``s, the
+    term-by-term action and one subtraction per coordinate, highest first."""
+    size = n_max + 1
+    basis = [_DictBiPoly({(m, 0): 1})]
+    for _ in range(n_max):
+        basis.append(basis[-1].act_b())
+    columns = []
+    for k in range(size):
+        w = _DictBiPoly()
+        for (i, j), c in u.terms.items():
+            v = basis[k]
+            for _ in range(j):
+                v = v.act_a()
+            for _ in range(i):
+                v = v.act_b()
+            w = w + v.scale(c)
+        coords = [F(0)] * size
+        for r in range(n_max, -1, -1):
+            coords[r] = w.coeff(m, r)
+            if coords[r]:
+                w = w - basis[r].scale(coords[r])
+        columns.append((coords, w))
+    return columns
+
+
+@given(scan_elements(), st.integers(0, 3), st.integers(0, 6))
+@example(WeylElement({(2, 1): F(1, 3), (1, 0): 1}), 2, 2)  # leaks in every row
+@settings(max_examples=150, deadline=None)
+def test_fiber_matrix_equals_the_subtraction_loop(u, m, n):
+    fm = complex_fiber_matrix(u, m, n)
+    expected = _subtraction_fiber_matrix(u, m, n)
+    assert fm.entries == tuple(tuple(col[r] for col, _ in expected) for r in range(n + 1))
+    leakage = {k: leak for k, (_, leak) in enumerate(expected) if not leak.is_zero}
+    assert sorted(fm.leakage) == sorted(leakage)
+    for k, leak in leakage.items():
+        _same_bipoly(fm.leakage[k], leak)
+
+
+def _sequential_char_poly(m):
+    """The leading-minor recurrence with one subtraction per term, down to
+    row 0, that ``char_poly`` replaced, on a matrix already in Hessenberg
+    form (where ``char_poly``'s reduction changes nothing)."""
+    n = len(m)
+    minors = [FockVector.one()]
+    for k in range(n):
+        p = minors[k].times_x() - minors[k].scale(m[k][k])
+        chain = F(1)
+        for i in range(k - 1, -1, -1):
+            chain *= m[i + 1][i]
+            if not chain:
+                break
+            if m[i][k]:
+                p = p - minors[i].scale(m[i][k] * chain)
+        minors.append(p)
+    return minors[n].coeffs
+
+
+@given(banded_matrices(max_size=8, max_bandwidth=1))
+@settings(max_examples=200, deadline=None)
+def test_char_poly_minors_equal_the_sequential_recurrence(m):
+    hessenberg = [[x if i - j <= 1 else F(0) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    assert char_poly(hessenberg).coeffs == _sequential_char_poly(hessenberg)
+
+
+def _fraction_primitive(coeffs):
+    """The ``Fraction``-based primitive part that ``_primitive`` of the
+    numerators replaced."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+@given(coefficient_lists, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_primitive_of_numerators_equals_the_fraction_primitive(coeffs, integer_backed):
+    p = _vector(coeffs, integer_backed)
+    assert _primitive(p.numerators) == _fraction_primitive(p.coeffs)
