@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,8 +70,8 @@ class RunConfig:
     fibers: Tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.degree_cap < 1 or self.iter_cap < 1:
             raise ValueError("caps must be at least 1")
         if self.fmt not in FORMATS:

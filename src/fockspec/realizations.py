@@ -322,10 +322,6 @@ class ComplexFiber(ComplexPlane):
         return self
 
 
-def realization_label(r: Realization) -> str:
-    return r.label
-
-
 def act_a(r: Realization, p: UniPoly) -> UniPoly:
     """Apply the lowering generator of realization ``r`` to a polynomial."""
     return r.act_a(p)
@@ -406,5 +402,5 @@ def quasi_monomial_change(delta: RationalLike, n_max: int) -> Tuple[Tuple[Ration
         p = cols[-1]
         cols.append(p.times_x() - p.scale(k * delta))
     return tuple(
-        tuple(cols[k].coeff(r) for k in range(size)) for r in range(size)
+        tuple(cols[k][r] for k in range(size)) for r in range(size)
     )

@@ -177,6 +177,8 @@ def invariant_degree_scan(
 ) -> Tuple[int, ...]:
     """All n <= n_max whose degree span is invariant, by direct leakage test:
     the running maximum of the image degrees of ``b^k|0>`` is at most n."""
+    if n_max < 0:
+        raise ValueError("matrix size bound must be nonnegative")
     if n_max > cap:
         raise ValueError("scan bound exceeds the degree cap")
     found, top = [], -1

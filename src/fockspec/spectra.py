@@ -7,11 +7,12 @@ gives the characteristic polynomial by the leading-minor recurrence.  The
 recurrence runs on polynomials that keep integer numerators over one common
 denominator (``UniPoly``), so it is integer arithmetic, and the coefficients
 are divided out to Fractions only when they are read.  Roots are found per
-square-free factor, scaled to a primitive integer polynomial: an integer
-Sturm chain isolates the real roots, rational ones are read off their exact
-intervals, and every other real root is certified by an exact bracket of
-width at most ``tol`` (then Newton-polished in floats).  Durand-Kerner iteration finds complex pairs, certified by
-``|p(z)| / (1 + max|coeff|)``.
+square-free factor, scaled to a primitive integer polynomial: Descartes'
+rule of signs on integer Taylor shifts isolates the real roots, rational
+ones are read off their exact intervals, and every other real root is
+certified by an exact bracket of width at most ``tol`` (then
+Newton-polished in floats).  Durand-Kerner iteration finds complex pairs,
+certified by ``|p(z)| / (1 + max|coeff|)``.
 
 Cross-realization isospectrality is therefore a decidable, bit-exact
 equality of characteristic polynomials.
@@ -27,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
-from .weyl import Rational, WeylElement, as_rational, horner
+from .weyl import Rational, WeylElement, as_rational, horner, taylor_shift_one
 
 Matrix = List[List[Rational]]
 
@@ -77,26 +78,6 @@ def restrict(
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Fraction
 # ---------------------------------------------------------------------------
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for k in range(m):
-            aik = ai[k]
-            if not aik:
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(p):
-                row[j] += aik * bk[j]
-    return out
-
-
-def mat_vec(a: Matrix, v: Sequence[Rational]) -> List[Rational]:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
 def nullspace(a: Matrix) -> List[Tuple[Rational, ...]]:
@@ -237,10 +218,12 @@ class Eigenvalue:
 
 
 def _poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd: the last member of the integer remainder sequence."""
-    if b.is_zero:
-        return a.monic()
-    return UniPoly(_sturm_chain(_primitive(a.numerators), _primitive(b.numerators))[-1]).monic()
+    """Monic gcd by Euclid's algorithm, each remainder scaled to a primitive
+    integer polynomial (numerators over 1) so that the coefficients do not
+    grow."""
+    while not b.is_zero:
+        a, b = b, UniPoly._of(tuple(_primitive(divmod(a, b)[1].numerators)), 1)
+    return a.monic()
 
 
 def _square_free_decomposition(p: UniPoly):
@@ -280,48 +263,21 @@ def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain(a: List[int], b: List[int]) -> List[List[int]]:
-    """``a``, ``b`` and their negated remainders down to ``gcd(a, b)``: the
-    Sturm chain of ``a`` when ``b = a'``.
-
-    Each remainder, from pseudo-division by ``lead^steps``, is scaled by a
-    positive factor to a primitive integer polynomial, so signs are kept."""
-    chain = [a, b]
-    while len(chain[-1]) > 1:
-        rem, div = list(chain[-2]), chain[-1]
-        lead, steps = div[-1], len(rem) - len(div) + 1
-        for shift in range(steps - 1, -1, -1):
-            f = rem[shift + len(div) - 1]
-            rem = [lead * c for c in rem]
-            for i, d in enumerate(div):
-                rem[shift + i] -= f * d
-        del rem[len(div) - 1:]
-        while rem and not rem[-1]:
-            rem.pop()
-        if not rem:
-            break
-        flip = -1 if lead < 0 and steps % 2 else 1
-        chain.append(_primitive([-flip * c for c in rem]))
-    return chain
-
-
-def _variations(chain: Sequence[Sequence[int]], num: int, den: int) -> Tuple[int, bool]:
-    """Sign variations of the chain at ``num/den``, and whether that point
-    is a root of ``chain[0]``."""
-    signs = [_sign_at(p, num, den) for p in chain]
-    nonzero = [s for s in signs if s]
-    return sum(s1 != s2 for s1, s2 in zip(nonzero, nonzero[1:])), not signs[0]
-
-
 def _isolate_real_roots(
-    chain: Sequence[Sequence[int]],
+    p: Sequence[int],
 ) -> Tuple[List[Fraction], List[Tuple[int, int, int]]]:
-    """Real roots of the square-free ``chain[0]``: the bisection points that
-    are roots, and open intervals ``(a/2^k, b/2^k)`` holding one root each.
+    """Real roots of the square-free integer polynomial ``p``: the bisection
+    points that are roots, and open intervals ``(a/2^k, b/2^k)`` holding one
+    root each.
 
-    ``V(lo) - V(hi)`` counts the roots in ``(lo, hi]``; a bisection point
-    that is a root is recorded and not counted again in its left half."""
-    p = chain[0]
+    Vincent-Collins-Akritas bisection (Collins and Akritas, SYMSAC 1976):
+    ``q`` is ``p`` on the ``c``-th of ``2^k`` equal parts of ``(-bound,
+    bound)``, moved onto ``(0, 1)``.  The sign variations of
+    ``(x+1)^d q(1/(x+1))`` bound its roots in ``(0, 1)`` and equal their
+    number when it is 0 or 1 (Descartes' rule of signs).  A part with more
+    is split into ``2^d q(x/2)`` and that shifted by one; a bisection point
+    that is a root is recorded, divided out of the right half and not
+    counted again in its left half."""
     # Fujiwara: every root has |z| <= 2 max |c_i / lead|^(1/(d-i)) < bound
     bound = 2 << max([0] + [
         -((p[-1].bit_length() - abs(c).bit_length() - 1) // (len(p) - 1 - i))
@@ -329,39 +285,44 @@ def _isolate_real_roots(
     ])
     hits: List[Fraction] = []
     intervals: List[Tuple[int, int, int]] = []
-    (vlo, _), (vhi, _) = _variations(chain, -bound, 1), _variations(chain, bound, 1)
-    stack = [(-bound, bound, 0, vlo, vhi, False)]
+    # q(x) = p(bound (2x - 1)), by a shift of p(-bound y) by one
+    shifted = taylor_shift_one([c * (-bound) ** i for i, c in enumerate(p)])
+    stack = [([c * (-2) ** i for i, c in enumerate(shifted)], 0, 0)]
     while stack:
-        a, b, k, va, vb, b_is_root = stack.pop()
-        count = va - vb - b_is_root
-        if count <= 0:
+        q, c, k = stack.pop()
+        signs = [x > 0 for x in taylor_shift_one(q[::-1]) if x]
+        count = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
+        if not count:
             continue
+        a = bound * (2 * c - (1 << k))
         if count == 1:
-            intervals.append((a, b, k))
+            intervals.append((a, a + 2 * bound, k))
             continue
-        mid, k = a + b, k + 1
-        vmid, mid_is_root = _variations(chain, mid, 1 << k)
-        if mid_is_root:
-            hits.append(Fraction(mid, 1 << k))
-        stack.append((2 * a, mid, k, va, vmid, mid_is_root))
-        stack.append((mid, 2 * b, k, vmid, vb, b_is_root))
+        d = len(q) - 1
+        left = [x << (d - i) for i, x in enumerate(q)]
+        right = taylor_shift_one(left)
+        if not right[0]:
+            hits.append(Fraction(a + bound, 1 << k))
+            del right[0]
+        stack.append((left, 2 * c, k + 1))
+        stack.append((right, 2 * c + 1, k + 1))
     return hits, intervals
 
 
 def _refine_real_root(
-    chain: Sequence[Sequence[int]], a: int, b: int, k: int, tol: float
+    p: Sequence[int], dp: Sequence[int], a: int, b: int, k: int, tol: float
 ) -> Union[Fraction, Tuple[int, int, int]]:
-    """Bisect the isolating interval ``(a/2^k, b/2^k)`` of a root of
-    ``chain[0]``: the root itself if it is rational, else an exact bracket
-    ``(a, b, k)`` of width at most ``tol``.
+    """Bisect the isolating interval ``(a/2^k, b/2^k)`` of a root of ``p``
+    (``dp`` its derivative): the root itself if it is rational, else an
+    exact bracket ``(a, b, k)`` of width at most ``tol``.
 
-    A rational root of the primitive ``chain[0]`` with leading coefficient
-    ``l`` is ``m/l`` for an integer ``m``, so once the interval is narrower
-    than ``1/l`` it holds at most one such point and one exact sign test
+    A rational root of the primitive ``p`` with leading coefficient ``l``
+    is ``m/l`` for an integer ``m``, so once the interval is narrower than
+    ``1/l`` it holds at most one such point and one exact sign test
     decides it."""
-    p, lead = chain[0], chain[0][-1]
+    lead = p[-1]
     # sign of p just right of lo: of p'(lo) when lo is a recorded root
-    left = _sign_at(p, a, 1 << k) or _sign_at(chain[1], a, 1 << k)
+    left = _sign_at(p, a, 1 << k) or _sign_at(dp, a, 1 << k)
     tol_num, tol_den = Fraction(tol).as_integer_ratio()
     tested = False
     while not (tested and (b - a) * tol_den <= tol_num << k):
@@ -434,24 +395,24 @@ def roots(
     """All roots of ``p`` as a multiset (list length equals the degree).
 
     Per square-free factor (Yun): rational roots are exact, read off the
-    factor's exact Sturm intervals; other real roots are certified by an
+    factor's exact isolating intervals; other real roots are certified by an
     exact bracket of width at most ``tol``; complex pairs come from
     Durand-Kerner iteration and are certified by the normalized residual
     ``|p(z)| / (1 + max|coeff|)``, which every numeric root reports.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if p.degree == 0:
         return []
     exact_roots: List[Rational] = []
     numeric: List[Tuple[float, float, int]] = []  # (re, im, multiplicity)
     for factor, mult in _square_free_decomposition(p):
         ints = _primitive(factor.numerators)
-        chain = _sturm_chain(ints, _primitive([d * c for d, c in enumerate(ints)][1:]))
-        rational, intervals = _isolate_real_roots(chain)
+        dp = [d * c for d, c in enumerate(ints)][1:]
+        rational, intervals = _isolate_real_roots(ints)
         n_complex = factor.degree - len(rational) - len(intervals)
         for a, b, k in intervals:
-            found = _refine_real_root(chain, a, b, k, tol)
+            found = _refine_real_root(ints, dp, a, b, k, tol)
             if isinstance(found, Fraction):
                 rational.append(found)
             else:

@@ -289,6 +289,15 @@ def horner(coeffs: Sequence, x):
     return acc
 
 
+def taylor_shift_one(ints: Sequence[int]) -> list:
+    """Integer coefficients of ``f(x + 1)`` for ``f = sum ints[d] x^d``:
+    reversed, the shift is ``n`` passes of prefix sums (``n`` the degree)."""
+    r = list(ints)[::-1]
+    for m in range(len(r), 1, -1):
+        r[:m] = accumulate(r[:m])
+    return r[::-1]
+
+
 class FockVector:
     """Vector ``sum coeffs[k] * b^k|0>``; trailing zeros trimmed, () is zero.
 
@@ -372,10 +381,6 @@ class FockVector:
         return cls((Fraction(0),) * k + (as_rational(coeff),))
 
     @classmethod
-    def monomial(cls, n: int, coeff: RationalLike = 1) -> "FockVector":
-        return cls.basis(n, coeff)
-
-    @classmethod
     def one(cls) -> "FockVector":
         return cls((Fraction(1),))
 
@@ -390,9 +395,6 @@ class FockVector:
 
     def __getitem__(self, k: int) -> Rational:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def coeff(self, d: int) -> Rational:
-        return self[d]
 
     def __add__(self, other: "FockVector") -> "FockVector":
         return FockVector.combination([(self, 1), (other, 1)])
@@ -491,21 +493,17 @@ class FockVector:
 
         With ``h = s/t``, ``n`` the degree and ``f = sum c_d x^d / D``,
         ``q_d = c_d s^d t^(n-d)`` are the integer coefficients of
-        ``D t^n f(h y)``.  Shifting them by one, in ``n`` passes of suffix
-        sums, gives ``q'``, and ``f(x + h)`` is
-        ``sum (q'_r / s^r) t^r x^r / (D t^n)``, the division by ``s^r``
-        exact.
+        ``D t^n f(h y)``.  Shifting them by one (``taylor_shift_one``) gives
+        ``q'``, and ``f(x + h)`` is ``sum (q'_r / s^r) t^r x^r / (D t^n)``,
+        the division by ``s^r`` exact.
         """
         h = as_rational(h)
         if not h or self.is_zero:
             return self
         nums, den = self._ints()
         s, t, n = h.numerator, h.denominator, len(nums) - 1
-        # reversed, so that each pass is a prefix sum: r[k] is q_(n-k)
-        r = [c * s**d * t ** (n - d) for d, c in enumerate(nums)][::-1]
-        for m in range(n + 1, 1, -1):
-            r[:m] = accumulate(r[:m])
-        out = [v // s**d * t**d for d, v in enumerate(reversed(r))]
+        q = taylor_shift_one([c * s**d * t ** (n - d) for d, c in enumerate(nums)])
+        out = [v // s**d * t**d for d, v in enumerate(q)]
         return FockVector._normalized(out, den * t**n)
 
     def __call__(self, x: RationalLike) -> Rational:
@@ -574,9 +572,6 @@ class FlagMatrix:
     @property
     def has_leakage(self) -> bool:
         return bool(self.leakage)
-
-    def column(self, k: int) -> Tuple[Rational, ...]:
-        return tuple(row[k] for row in self.entries)
 
     def diagonal(self) -> Tuple[Rational, ...]:
         return tuple(self.entries[k][k] for k in range(self.size))

@@ -292,9 +292,14 @@ def test_heun_constraint_violation_exits_3():
 
 
 def test_bad_tolerance_exits_1():
-    code, payload = run_json("--tol", "-1", "normal-order", "--expr", "a")
-    assert code == 1
-    assert "tolerance" in payload["diagnostics"][0]
+    for argv in (
+        ["--tol", "-1", "normal-order", "--expr", "a"],
+        ["--tol", "nan", "normal-order", "--expr", "b*a"],
+        ["--tol", "inf", "spectrum", "--op", "hermite", "--n", "2"],
+    ):
+        code, payload = run_json(*argv)
+        assert code == 1, argv
+        assert "tolerance" in payload["diagnostics"][0]
 
 
 def test_degree_overflow_exits_1():
@@ -397,6 +402,7 @@ def test_bad_format_in_config_file_exits_1(tmp_path):
         ["spectrum", "--op", "hermite", "--n", "-1", "--realization", "q"],
         ["spectrum", "--op", "hermite", "--n", "-1", "--realization", "complex"],
         ["isospectral", "--op", "hermite", "--n", "-1"],
+        ["classify", "--expr", "b*a", "--nmax", "-1"],
     ],
 )
 def test_negative_degree_exits_1(argv):

@@ -16,13 +16,15 @@ the sequential fold stays the reference.  ``BiPoly`` keeps rows of
 ``FockVector``s; the map of ``Fraction``s, the term-by-term action and the
 subtraction loop of the fiber assembly stay the reference.  Root isolation
 reads a polynomial's integer numerators; the ``Fraction`` primitive part
-stays the reference.
+stays the reference.  Real roots are isolated by Descartes' rule of signs
+on integer Taylor shifts and the gcd is Euclid's on ``divmod``; the integer
+Sturm chain, its isolation and its gcd stay the reference.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction as F
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 from unittest import mock
 
 import pytest
@@ -52,7 +54,17 @@ from fockspec.solvability import (
     qes_constraint_residuals,
     qes_leakage_residuals,
 )
-from fockspec.spectra import _primitive, char_poly, restrict
+from fockspec import spectra
+from fockspec.spectra import (
+    CharPoly,
+    NonConvergenceError,
+    _isolate_real_roots,
+    _primitive,
+    _sign_at,
+    char_poly,
+    restrict,
+    roots,
+)
 from fockspec.weyl import (
     DegreeOverflowError,
     FockVector,
@@ -86,8 +98,15 @@ def scan_elements():
 
 
 @given(scan_elements(), st.integers(-1, 16))
+@example(HERMITE, -1)
 @settings(max_examples=120)
 def test_scan_equals_per_degree_flag_matrix_leakage(u, n_max):
+    if n_max < 0:  # no span to scan, and no flag matrix either
+        with pytest.raises(ValueError, match="nonnegative"):
+            flag_matrix(u, n_max)
+        with pytest.raises(ValueError, match="nonnegative"):
+            invariant_degree_scan(u, n_max)
+        return
     expected = tuple(n for n in range(n_max + 1) if not flag_matrix(u, n).has_leakage)
     assert invariant_degree_scan(u, n_max) == expected
 
@@ -672,3 +691,161 @@ def _fraction_primitive(coeffs):
 def test_primitive_of_numerators_equals_the_fraction_primitive(coeffs, integer_backed):
     p = _vector(coeffs, integer_backed)
     assert _primitive(p.numerators) == _fraction_primitive(p.coeffs)
+
+
+# -- real root isolation -----------------------------------------------------------
+
+
+def _sturm_chain(a, b):
+    """``a``, ``b`` and their negated remainders down to ``gcd(a, b)``: the
+    Sturm chain of ``a`` when ``b = a'``, each remainder made primitive."""
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        rem, div = list(chain[-2]), chain[-1]
+        lead, steps = div[-1], len(rem) - len(div) + 1
+        for shift in range(steps - 1, -1, -1):
+            f = rem[shift + len(div) - 1]
+            rem = [lead * c for c in rem]
+            for i, d in enumerate(div):
+                rem[shift + i] -= f * d
+        del rem[len(div) - 1:]
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            break
+        flip = -1 if lead < 0 and steps % 2 else 1
+        chain.append(_primitive([-flip * c for c in rem]))
+    return chain
+
+
+def _variations(chain, num, den):
+    """Sign variations of the chain at ``num/den``, and whether that point
+    is a root of ``chain[0]``."""
+    signs = [_sign_at(p, num, den) for p in chain]
+    nonzero = [s for s in signs if s]
+    return sum(s1 != s2 for s1, s2 in zip(nonzero, nonzero[1:])), not signs[0]
+
+
+def _sturm_isolate(p):
+    """The Sturm bisection that Descartes bisection replaced: ``V(lo) -
+    V(hi)`` counts the roots in ``(lo, hi]``; a bisection point that is a
+    root is recorded and not counted again in its left half."""
+    chain = _sturm_chain(p, _primitive([d * c for d, c in enumerate(p)][1:]))
+    bound = 2 << max([0] + [
+        -((p[-1].bit_length() - abs(c).bit_length() - 1) // (len(p) - 1 - i))
+        for i, c in enumerate(p[:-1]) if c
+    ])
+    hits, intervals = [], []
+    (vlo, _), (vhi, _) = _variations(chain, -bound, 1), _variations(chain, bound, 1)
+    stack = [(-bound, bound, 0, vlo, vhi, False)]
+    while stack:
+        a, b, k, va, vb, b_is_root = stack.pop()
+        count = va - vb - b_is_root
+        if count <= 0:
+            continue
+        if count == 1:
+            intervals.append((a, b, k))
+            continue
+        mid, k = a + b, k + 1
+        vmid, mid_is_root = _variations(chain, mid, 1 << k)
+        if mid_is_root:
+            hits.append(F(mid, 1 << k))
+        stack.append((2 * a, mid, k, va, vmid, mid_is_root))
+        stack.append((mid, 2 * b, k, vmid, vb, b_is_root))
+    return hits, intervals
+
+
+def _sturm_gcd(a, b):
+    """Monic gcd as the last member of the Sturm remainder sequence."""
+    if b.is_zero:
+        return a.monic()
+    return FockVector(_sturm_chain(_primitive(a.numerators), _primitive(b.numerators))[-1]).monic()
+
+
+def _roots_in(p, lo_num, hi_num, k):
+    """Exact count of the roots of ``p`` in the open ``(lo/2^k, hi/2^k)``."""
+    chain = _sturm_chain(p, _primitive([d * c for d, c in enumerate(p)][1:]))
+    v_lo, _ = _variations(chain, lo_num, 1 << k)
+    v_hi, hi_is_root = _variations(chain, hi_num, 1 << k)
+    return v_lo - v_hi - hi_is_root
+
+
+def _times(coeffs, factor):
+    out = [F(0)] * (len(coeffs) + len(factor) - 1)
+    for i, c in enumerate(coeffs):
+        for j, f in enumerate(factor):
+            out[i + j] += c * f
+    return out
+
+
+#: roots at bisection points: 0, +-1/2 and +-2^j are midpoints of the
+#: dyadic parts of (-bound, bound) once bound exceeds them
+dyadic_roots = st.sampled_from(
+    [F(0), F(1, 2), F(-1, 2)] + [F(s * 2**j) for j in range(-3, 6) for s in (1, -1)]
+)
+
+
+def _irreducible(b, c):
+    """Whether ``x^2 + b x + c`` has no rational root."""
+    disc = b * b - 4 * c
+    if disc < 0:
+        return True
+    n, d = disc.numerator, disc.denominator
+    return isqrt(n) ** 2 != n or isqrt(d) ** 2 != d
+
+
+@st.composite
+def real_root_products(draw, max_mult=1):
+    """Products of distinct rational linear factors and distinct irreducible
+    quadratics (real surd pairs or complex pairs), each to a multiplicity up
+    to ``max_mult``: square-free when that is 1."""
+    linear = draw(st.lists(st.one_of(dyadic_roots, rationals(99, 16)), max_size=5, unique=True))
+    quadratic = draw(st.lists(
+        st.tuples(rationals(9, 4), rationals(9, 4)).filter(lambda bc: _irreducible(*bc)),
+        max_size=3, unique=True,
+    ))
+    coeffs = [F(1)]
+    for factor in [(-r, 1) for r in linear] + [(c, b, 1) for b, c in quadratic]:
+        for _ in range(draw(st.integers(1, max_mult))):
+            coeffs = _times(coeffs, factor)
+    return coeffs
+
+
+@given(real_root_products().filter(lambda c: len(c) > 1))
+@example([F(0), F(1), F(0), F(1)])  # x^3 + x: 0 is a hit here, an interval for Sturm
+@example(_times(_times([F(0), F(1)], [F(-1, 2), F(1)]), [F(1, 2), F(1)]))  # 0 and +-1/2
+@example(_times([F(-2), F(0), F(1)], [F(-32), F(1)]))  # +-sqrt 2 and 32
+@settings(max_examples=250, deadline=None)
+def test_descartes_isolation_refines_the_sturm_isolation(coeffs):
+    p = _primitive(FockVector(tuple(coeffs)).numerators)
+    hits, intervals = _isolate_real_roots(p)
+    ref_hits, ref_intervals = _sturm_isolate(p)
+    # Descartes counts bound Sturm counts, so its bisection tree contains
+    # Sturm's: every Sturm hit is a hit, and a Sturm interval may end in a
+    # hit or a deeper dyadic interval, never in more than one root
+    assert set(ref_hits) <= set(hits) and len(hits) == len(set(hits))
+    assert len(hits) + len(intervals) == len(ref_hits) + len(ref_intervals)
+    assert all(not _sign_at(p, h.numerator, h.denominator) for h in hits)
+    for a, b, k in intervals:
+        assert _roots_in(p, a, b, k) == 1
+        assert any(ra << k <= a << rk and b << rk <= rb << k for ra, rb, rk in ref_intervals)
+        assert not any(a < h * (1 << k) < b for h in hits)
+    assert sorted(intervals) == sorted(set(intervals))
+
+
+def _outcome(p):
+    try:
+        return repr(roots(p))
+    except NonConvergenceError as err:
+        return f"NonConvergenceError({err}, {err.partial!r})"
+
+
+@given(real_root_products(max_mult=2).filter(lambda c: len(c) > 1))
+@example(_times(_times([F(0), F(1), F(0), F(1)], [F(0), F(1)]), [F(-1, 2), F(1)]))
+@settings(max_examples=120, deadline=None)
+def test_roots_equal_the_sturm_reference(coeffs):
+    p = CharPoly(tuple(coeffs))
+    with mock.patch.object(spectra, "_isolate_real_roots", _sturm_isolate), \
+            mock.patch.object(spectra, "_poly_gcd", _sturm_gcd):
+        expected = _outcome(p)
+    assert _outcome(p) == expected

@@ -22,13 +22,13 @@ from fockspec.spectra import (
     char_poly,
     eigenvector,
     isospectral_check,
-    mat_vec,
     restrict,
     roots,
     spectrum,
 )
 from fockspec.weyl import make
 
+from exact_matrix import mat_vec
 from strategies import rational_root_multisets, weyl_elements
 
 HERMITE = hermite().element
