@@ -23,9 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
 from .weyl import Rational, WeylElement, as_rational, horner, taylor_shift_one
@@ -76,40 +74,41 @@ def restrict(
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Fraction
+# Exact linear algebra over Fraction: sparse column reduction for nullspaces
 # ---------------------------------------------------------------------------
 
 
 def nullspace(a: Matrix) -> List[Tuple[Rational, ...]]:
-    """Basis of the exact nullspace: the vector with 1 in one free column
-    and 0 in the others, for each free column of a row echelon form (the
-    basis that reduced row echelon form gives), by back-substitution."""
-    if not a:
-        return []
-    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in a]
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: List[int] = []
-    for c in range(n_cols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        for i in range(r + 1, n_rows):
-            if rows[i][c]:
-                f = rows[i][c] / top[c]
-                rows[i][c:] = [x - f * y for x, y in zip(rows[i][c:], top[c:])]
-        pivots.append(c)
+    """Basis of the exact nullspace that reduced row echelon form gives: per
+    free column, the vector that is 1 there, 0 at the other free columns and
+    supported on the pivot columns to its left.  Columns are reduced left to
+    right on their lowest nonzero row (Zomorodian and Carlsson, Discrete
+    Comput. Geom. 33 (2005) 249): a sparse column and its combination of the
+    columns of ``a`` have the pivot stored at that row subtracted, until the
+    row has no pivot (the column becomes it) or the column is zero (it is
+    free, and its combination is its basis vector)."""
+    n_cols = len(a[0]) if a else 0
+    if any(len(row) != n_cols for row in a):
+        raise ValueError("nullspace needs rows of equal length")
+    pivots: Dict[int, Tuple[Dict[int, Fraction], Dict[int, Fraction]]] = {}
     basis = []
-    for fc in (c for c in range(n_cols) if c not in pivots):
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc, row = pivots[r], rows[r]
-            terms = (row[j] * v[j] for j in range(pc + 1, n_cols) if row[j] and v[j])
-            v[pc] = -sum(terms, Fraction(0)) / row[pc]
-        basis.append(tuple(v))
+    for c, entries in enumerate(zip(*a)):
+        col = {i: x if isinstance(x, Fraction) else Fraction(x) for i, x in enumerate(entries) if x}
+        comb = {c: Fraction(1)}
+        while col:
+            low = max(col)
+            if low not in pivots:
+                pivots[low] = (col, comb)
+                break
+            p_col, p_comb = pivots[low]
+            f = col[low] / p_col[low]
+            for target, source in ((col, p_col), (comb, p_comb)):
+                for i, x in source.items():
+                    y = target.pop(i, 0) - f * x
+                    if y:
+                        target[i] = y
+        else:
+            basis.append(tuple(comb.get(j, Fraction(0)) for j in range(n_cols)))
     return basis
 
 
@@ -272,12 +271,12 @@ def _isolate_real_roots(
 
     Vincent-Collins-Akritas bisection (Collins and Akritas, SYMSAC 1976):
     ``q`` is ``p`` on the ``c``-th of ``2^k`` equal parts of ``(-bound,
-    bound)``, moved onto ``(0, 1)``.  The sign variations of
-    ``(x+1)^d q(1/(x+1))`` bound its roots in ``(0, 1)`` and equal their
-    number when it is 0 or 1 (Descartes' rule of signs).  A part with more
-    is split into ``2^d q(x/2)`` and that shifted by one; a bisection point
-    that is a root is recorded, divided out of the right half and not
-    counted again in its left half."""
+    bound)``, moved onto ``(0, 1)``.  It has no root there if it has no
+    sign variation; else the sign variations of ``(x+1)^d q(1/(x+1))``
+    bound its roots there and equal their number when 0 or 1 (Descartes'
+    rule of signs).  A part with more is split into ``2^d q(x/2)`` and
+    that shifted by one; a bisection point that is a root is recorded,
+    divided out of the right half and not counted again in its left half."""
     # Fujiwara: every root has |z| <= 2 max |c_i / lead|^(1/(d-i)) < bound
     bound = 2 << max([0] + [
         -((p[-1].bit_length() - abs(c).bit_length() - 1) // (len(p) - 1 - i))
@@ -290,6 +289,8 @@ def _isolate_real_roots(
     stack = [([c * (-2) ** i for i, c in enumerate(shifted)], 0, 0)]
     while stack:
         q, c, k = stack.pop()
+        if min(q) >= 0 or max(q) <= 0:
+            continue
         signs = [x > 0 for x in taylor_shift_one(q[::-1]) if x]
         count = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
         if not count:
@@ -466,31 +467,29 @@ def eigenvector(
 ) -> List[Tuple]:
     """Nullspace basis of ``M - ev`` (usually one vector).
 
-    Exact eigenvalues give the exact rational nullspace, each basis vector
-    normalized so its highest-index nonzero entry is 1 (leading polynomial
+    Exact eigenvalues give the exact basis of :func:`nullspace`, whose
+    vectors have 1 as their highest-index nonzero entry (leading polynomial
     coefficient).  Numeric eigenvalues use inverse iteration and the unit
     result is checked by its backward error,
     ``||Mv - ev v|| <= 10 * tol * (1 + ||M||_F)``.
     """
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("eigenvector needs a square matrix")
     if ev.is_exact:
-        shifted = [[x - ev.exact if i == j else x for j, x in enumerate(row)]
-                   for i, row in enumerate(m)]
+        shifted = [[*row[:i], row[i] - ev.exact, *row[i + 1:]] for i, row in enumerate(m)]
         basis = nullspace(shifted)
         if not basis:
             raise ValueError(f"{ev.exact} is not an eigenvalue of the matrix")
-        normalized = []
-        for v in basis:
-            lead = next(c for c in reversed(v) if c)
-            normalized.append(tuple(c / lead for c in v))
-        return normalized
+        return basis
+
+    import numpy as np  # only numeric eigenvectors need it
 
     a = np.array([[float(x) for x in row] for row in m])
     lam = complex(ev.re, ev.im)
     eye = np.eye(n)
     if ev.im:
-        a = a.astype(complex)
-        eye = eye.astype(complex)
+        a, eye = a.astype(complex), eye.astype(complex)
     v = np.ones(n, dtype=a.dtype) / math.sqrt(n)
     shift = lam if ev.im else ev.re
     bound = 10 * tol * (1 + np.linalg.norm(a))

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -447,3 +450,23 @@ def test_lame_64_isospectral_is_fast(argv):
     code, payload = run_json("isospectral", *argv)
     assert code == 0 and payload["result"]["equal"] is True
     assert time.perf_counter() - start < 8.0
+
+
+def test_exact_commands_do_not_import_numpy():
+    # numpy is needed only for numeric eigenvectors; a fresh process that runs
+    # classify, isospectral and an all-exact spectrum never loads it
+    script = (
+        "import io, sys\n"
+        "from fockspec.cli import main\n"
+        "for argv in (['classify', '--op', 'hermite', '--nmax', '8'],\n"
+        "             ['isospectral', '--op', 'hermite', '--n', '5'],\n"
+        "             ['spectrum', '--op', 'hermite', '--n', '6']):\n"
+        "    assert main(argv, out=io.StringIO()) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert done.stdout.strip() == "False"

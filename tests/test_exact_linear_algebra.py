@@ -1,7 +1,9 @@
 """The exact linear algebra of ``spectra`` against sympy: characteristic
 polynomials on any square rational matrix (Hessenberg or not), and the
-nullspace basis that reduced row echelon form defines."""
+nullspace basis that reduced row echelon form defines; and the work an
+exact eigenvector of a banded flag matrix takes."""
 
+import sys
 import time
 from fractions import Fraction as F
 
@@ -9,25 +11,17 @@ import sympy
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from fockspec.catalog import hermite, lame
+from fockspec.catalog import hermite, laguerre
 from fockspec.opdsl import lower, parse
-from fockspec.realizations import DeltaLattice, Differential, QLattice
-from fockspec.spectra import char_poly, nullspace, restrict, spectrum
+from fockspec.realizations import Differential
+from fockspec.spectra import Eigenvalue, char_poly, eigenvector, nullspace, restrict, spectrum
 
-from exact_matrix import mat_vec
+from exact_matrix import LATTICE_RESTRICTIONS, mat_vec
 from strategies import banded_matrices, low_rank_matrices
 
 #: invariant at n = 5 with lower bandwidth 2: not upper Hessenberg, so the
 #: similarity to Hessenberg form has work to do
 BANDWIDTH_TWO = restrict(lower(parse("b^2*(b*a-5)*(b*a-4) + b*a"), {}), Differential(), 5)
-
-#: lattice restrictions whose entries carry large denominators: Lame(2, 1, 16)
-#: at q = 1/2 and delta = 1/3, and a multi-digit Lame at n = 16
-LATTICE_RESTRICTIONS = [
-    restrict(lame(2, 1, 16).element, QLattice(F(1, 2)), 16),
-    restrict(lame(2, 1, 16).element, DeltaLattice(F(1, 3)), 16),
-    restrict(lame(F(691245, 40257), F(394857, 87109), 16).element, DeltaLattice(F(1, 3)), 16),
-]
 
 
 def sympy_matrix(rows):
@@ -68,3 +62,36 @@ def test_hermite_64_spectrum_is_fast():
     sp = spectrum(hermite().element, 64, Differential())
     assert time.perf_counter() - start < 8.0
     assert [ev.exact for ev, _ in sp.eigenpairs] == [F(k) for k in range(65)]
+
+
+def _fraction_operations(call):
+    """How many Fraction additions, subtractions, multiplications and
+    divisions ``call()`` performs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if event == "call" and code.co_name in ("_add", "_sub", "_mul", "_div") \
+                and code.co_filename.endswith("fractions.py"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_exact_eigenvectors_of_banded_flag_matrices_walk_the_band():
+    # M - kI is upper triangular with bandwidth 2 (Hermite) or 1 (Laguerre):
+    # columns left of k are pivots at their diagonal, column k reaches zero
+    # in at most k steps up the band, and columns right of k are stored as
+    # read, so each eigenvector costs O(n) Fraction operations, not O(n^2)
+    n = 64
+    for element in (hermite().element, laguerre(F(1, 3)).element):
+        m = restrict(element, Differential(), n)
+        for k in (0, n // 2, n):
+            ops = _fraction_operations(lambda: eigenvector(m, Eigenvalue.from_exact(F(k))))
+            assert ops <= 10 * (n + 1), (k, ops)

@@ -18,7 +18,11 @@ subtraction loop of the fiber assembly stay the reference.  Root isolation
 reads a polynomial's integer numerators; the ``Fraction`` primitive part
 stays the reference.  Real roots are isolated by Descartes' rule of signs
 on integer Taylor shifts and the gcd is Euclid's on ``divmod``; the integer
-Sturm chain, its isolation and its gcd stay the reference.
+Sturm chain, its isolation and its gcd stay the reference, and so does the
+bisection that takes a Taylor shift of every part.  Nullspaces come from
+sparse column reduction on the lowest nonzero row; row echelon elimination
+with back-substitution, and the normalization that followed it in
+``eigenvector``, stay the reference.
 """
 
 import re
@@ -31,7 +35,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from fockspec.catalog import hermite, jplus, lame, sextic
+from fockspec.catalog import hermite, jplus, laguerre, lame, sextic
 from fockspec.realizations import (
     BiPoly,
     ComplexFiber,
@@ -57,11 +61,14 @@ from fockspec.solvability import (
 from fockspec import spectra
 from fockspec.spectra import (
     CharPoly,
+    Eigenvalue,
     NonConvergenceError,
     _isolate_real_roots,
     _primitive,
     _sign_at,
     char_poly,
+    eigenvector,
+    nullspace,
     restrict,
     roots,
 )
@@ -73,9 +80,17 @@ from fockspec.weyl import (
     make,
     multiply,
     power,
+    taylor_shift_one,
 )
 
-from strategies import banded_matrices, nonzero_rationals, rationals, weyl_elements
+from exact_matrix import LATTICE_RESTRICTIONS
+from strategies import (
+    banded_matrices,
+    low_rank_matrices,
+    nonzero_rationals,
+    rationals,
+    weyl_elements,
+)
 
 HERMITE = hermite().element
 
@@ -833,6 +848,46 @@ def test_descartes_isolation_refines_the_sturm_isolation(coeffs):
     assert sorted(intervals) == sorted(set(intervals))
 
 
+def _unpruned_isolate(p):
+    """Descartes bisection as it was before parts whose ``q`` has no sign
+    variation were dropped: every part pays the Taylor shift of its test."""
+    bound = 2 << max([0] + [
+        -((p[-1].bit_length() - abs(c).bit_length() - 1) // (len(p) - 1 - i))
+        for i, c in enumerate(p[:-1]) if c
+    ])
+    hits, intervals = [], []
+    shifted = taylor_shift_one([c * (-bound) ** i for i, c in enumerate(p)])
+    stack = [([c * (-2) ** i for i, c in enumerate(shifted)], 0, 0)]
+    while stack:
+        q, c, k = stack.pop()
+        signs = [x > 0 for x in taylor_shift_one(q[::-1]) if x]
+        count = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
+        if not count:
+            continue
+        a = bound * (2 * c - (1 << k))
+        if count == 1:
+            intervals.append((a, a + 2 * bound, k))
+            continue
+        d = len(q) - 1
+        left = [x << (d - i) for i, x in enumerate(q)]
+        right = taylor_shift_one(left)
+        if not right[0]:
+            hits.append(F(a + bound, 1 << k))
+            del right[0]
+        stack.append((left, 2 * c, k + 1))
+        stack.append((right, 2 * c + 1, k + 1))
+    return hits, intervals
+
+
+@given(real_root_products().filter(lambda c: len(c) > 1))
+@example([F(0), F(1), F(0), F(1)])
+@example(_times([F(-2), F(0), F(1)], [F(-32), F(1)]))
+@settings(max_examples=250, deadline=None)
+def test_pruned_isolation_equals_the_unpruned_bisection(coeffs):
+    p = _primitive(FockVector(tuple(coeffs)).numerators)
+    assert _isolate_real_roots(p) == _unpruned_isolate(p)
+
+
 def _outcome(p):
     try:
         return repr(roots(p))
@@ -849,3 +904,108 @@ def test_roots_equal_the_sturm_reference(coeffs):
             mock.patch.object(spectra, "_poly_gcd", _sturm_gcd):
         expected = _outcome(p)
     assert _outcome(p) == expected
+
+
+# -- exact nullspaces ----------------------------------------------------------------
+
+
+def _row_echelon_nullspace(a):
+    """The row echelon elimination and back-substitution that column
+    reduction replaced."""
+    if not a:
+        return []
+    rows = [[x if isinstance(x, F) else F(x) for x in row] for row in a]
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        for i in range(r + 1, n_rows):
+            if rows[i][c]:
+                f = rows[i][c] / top[c]
+                rows[i][c:] = [x - f * y for x, y in zip(rows[i][c:], top[c:])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [F(0)] * n_cols
+        v[fc] = F(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc, row = pivots[r], rows[r]
+            terms = (row[j] * v[j] for j in range(pc + 1, n_cols) if row[j] and v[j])
+            v[pc] = -sum(terms, F(0)) / row[pc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _shifted(m, k):
+    return [[x - k if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def _normalized_eigenvectors(m, k):
+    """Each reference basis vector divided by its highest-index nonzero
+    entry, as ``eigenvector`` did before that entry was known to be 1."""
+    out = []
+    for v in _row_echelon_nullspace(_shifted(m, k)):
+        lead = next(c for c in reversed(v) if c)
+        out.append(tuple(c / lead for c in v))
+    return out
+
+
+def _same_basis(basis, ref):
+    assert basis == ref
+    assert all(type(x) is F for v in basis for x in v)
+
+
+@given(st.one_of(banded_matrices(), low_rank_matrices()))
+@settings(max_examples=300, deadline=None)
+def test_column_reduction_equals_the_row_echelon_nullspace(m):
+    _same_basis(nullspace(m), _row_echelon_nullspace(m))
+
+
+@st.composite
+def catalog_restrictions(draw):
+    """An ES or QES catalog operator with rational eigenvalues on one of
+    three realizations: Hermite or Laguerre(alpha) at n <= 24, or Lame(m, 0)
+    at n <= 12."""
+    kind = draw(st.sampled_from(["hermite", "laguerre", "lame"]))
+    r = draw(st.sampled_from([Differential(), DeltaLattice(F(1, 3)), QLattice(F(1, 2))]))
+    if kind == "lame":
+        n = draw(st.integers(0, 12))
+        return restrict(lame(draw(rationals()), 0, n).element, r, n)
+    n = draw(st.integers(0, 24))
+    element = HERMITE if kind == "hermite" else laguerre(draw(rationals())).element
+    return restrict(element, r, n)
+
+
+@given(catalog_restrictions())
+@example(restrict(HERMITE, Differential(), 24))
+@example(restrict(laguerre(F(1, 3)).element, Differential(), 24))
+@example(restrict(lame(F(5, 2), 0, 12).element, Differential(), 12))
+@settings(max_examples=40, deadline=None)
+def test_catalog_eigenvectors_equal_the_normalized_row_echelon_basis(m):
+    evs = roots(char_poly(m))
+    assert all(ev.is_exact for ev in evs)
+    for k in sorted({ev.exact for ev in evs}):
+        _same_basis(nullspace(_shifted(m, k)), _row_echelon_nullspace(_shifted(m, k)))
+        assert eigenvector(m, Eigenvalue.from_exact(k)) == _normalized_eigenvectors(m, k)
+
+
+@pytest.mark.parametrize("index", range(len(LATTICE_RESTRICTIONS)))
+@given(st.integers(0, 16), st.lists(rationals(), min_size=17, max_size=17))
+@settings(max_examples=15, deadline=None)
+def test_lattice_nullspace_equals_the_row_echelon_basis(index, j, coeffs):
+    # column j replaced by a combination of the others: a nullspace of
+    # dimension one or more over entries with large denominators
+    m = LATTICE_RESTRICTIONS[index]
+    _same_basis(nullspace(m), _row_echelon_nullspace(m))
+    combined = [sum((c * x for i, (c, x) in enumerate(zip(coeffs, row)) if i != j), F(0))
+                for row in m]
+    singular = [[combined[r] if i == j else x for i, x in enumerate(row)]
+                for r, row in enumerate(m)]
+    basis = nullspace(singular)
+    assert basis
+    _same_basis(basis, _row_echelon_nullspace(singular))

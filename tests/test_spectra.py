@@ -22,6 +22,7 @@ from fockspec.spectra import (
     char_poly,
     eigenvector,
     isospectral_check,
+    nullspace,
     restrict,
     roots,
     spectrum,
@@ -345,6 +346,21 @@ def test_nullspace_basis_for_multiple_eigenvalue():
     m = frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     basis = eigenvector(m, Eigenvalue.from_exact(F(1)))
     assert len(basis) == 2
+
+
+def test_eigenvector_rejects_a_non_square_matrix():
+    # a 1x2 matrix has no eigenvectors; it must not be read as its 1x1 block
+    for ev in (Eigenvalue.from_exact(F(1)), Eigenvalue.from_numeric(1.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="square"):
+            eigenvector(frac_matrix([[1, 2]]), ev)
+    with pytest.raises(ValueError, match="square"):
+        eigenvector(frac_matrix([[1, 2], [0]]), Eigenvalue.from_exact(F(1)))
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[0, 0], [0, 0, 0]]])
+def test_nullspace_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError, match="equal length"):
+        nullspace(frac_matrix(rows))
 
 
 # -- spectrum assembly --------------------------------------------------------
