@@ -11,9 +11,11 @@ eigenvector coefficients (as the benchmark worker formats them) for a
 library eigenvector op.  The ops are those of ``bench/workloads.py``:
 seeds 0-2 of every workload and every spectrum-catalog point a seed can
 draw (``spectrum_points``), plus the n=64 spectra of Lame(2,1), sextic(1,1),
-Hermite and Laguerre(1/3) and the sextic points that exit 4.  ``--src``
-picks the package source to import, so that two checkouts can be compared
-against the same op lists.
+Hermite and Laguerre(1/3), the sextic points that exit 4, two classify
+cases of the invariance scan and the Hermite q=1000/999 spectrum, whose
+eigenvector numerators have thousands of digits.  ``--src`` picks the
+package source to import, so that two checkouts can be compared against
+the same op lists.
 """
 
 import argparse
@@ -35,6 +37,12 @@ EXTRA = [
      "--n", "9"],
     ["spectrum", "--op", "sextic", "--bind", "alpha=-1", "--bind", "beta=0", "--bind", "n=15",
      "--n", "15"],
+    # the leakage witness at a target degree that is not invariant
+    ["classify", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=4", "--n", "5"],
+    # the top raising excess vanishes at k = 4 while a lower one does not
+    ["classify", "--expr", "b^3*a - 4*b^2 + b^2*a", "--nmax", "64"],
+    # eigenvector numerators of about 6100 digits
+    ["spectrum", "--op", "hermite", "--n", "64", "--realization", "q", "--q", "1000/999"],
 ]
 
 

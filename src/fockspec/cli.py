@@ -16,6 +16,7 @@ Rationals cross the boundary as "p/q" strings, never as floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -412,12 +413,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built on the first ``main`` call; each parse fills a fresh namespace
+_shared_parser = functools.cache(build_arg_parser)
+#: exact numerators outgrow the int-to-text digit limit (Python 3.10.7 on)
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_arg_parser()
+    limit = _get_digit_limit()
+    _set_digit_limit(0)
+    try:
+        return _run(argv, out)
+    finally:
+        _set_digit_limit(limit)
+
+
+def _run(argv: Optional[Sequence[str]], out) -> int:
     command, detail = "?", {}
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         command = args.command
         config = _build_config(args)
         op_json, result = args.handler(args, config)

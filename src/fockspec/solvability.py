@@ -7,26 +7,29 @@ solvable* element preserves one such span of a fixed degree n.  Invariance
 is always decided here by the direct leakage test: column k of the degree-n
 flag matrix leaks iff ``fock_apply(u, k)`` has degree above n, so the span
 is invariant iff the running maximum of those degrees over k <= n is at
-most n, and one pass over the images decides every n at once.  The
-closed-form coefficient constraints are provided alongside and checked
-against the scan rather than trusted.
+most n, and one pass over the columns decides every n at once.  A column's
+degree is read off the raising terms ``c b^i a^j``, ``e = i - j > 0``: the
+image of ``b^k|0>`` has ``sum c * falling(k, j)`` at degree ``k + e``, and
+only a leakage witness builds an image.  The closed-form constraints are
+provided alongside and checked against the scan rather than trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Tuple
+from math import lcm, perm
+from typing import Iterator, Optional, Tuple
 
 from .weyl import (
     DEFAULT_DEGREE_CAP,
+    DegreeOverflowError,
     FockVector,
     Rational,
     RationalLike,
     WeylElement,
     as_rational,
     fock_apply,
-    fock_columns,
 )
 
 #: Default bound for the invariant-degree scan; QES degrees in practice are
@@ -172,6 +175,19 @@ def qes_leakage_residuals(c: QESCoeffs, n: int) -> Tuple[Rational, Rational, Rat
     return (c.c2(n), c.c2(n - 1) if n >= 1 else Fraction(0), c.c1(n))
 
 
+def _column_degrees(u: WeylElement, n: int) -> Iterator[int]:
+    """For k = 0..n, the degree of ``fock_apply(u, k)`` where it exceeds k,
+    else k (which never changes whether a running maximum is at most n)."""
+    raising = [(i - j, j, c) for (i, j), c in u.terms.items() if i > j]
+    den = lcm(*(c.denominator for _, _, c in raising))
+    groups: dict = {}  # excess -> [(a-exponent, integer numerator)], highest first
+    for e, j, c in sorted(raising, reverse=True):
+        groups.setdefault(e, []).append((j, c.numerator * (den // c.denominator)))
+    for k in range(n + 1):
+        nonzero = (e for e, terms in groups.items() if sum(c * perm(k, j) for j, c in terms))
+        yield k + next(nonzero, 0)
+
+
 def invariant_degree_scan(
     u: WeylElement, n_max: int = DEFAULT_SCAN_BOUND, cap: int = DEFAULT_DEGREE_CAP
 ) -> Tuple[int, ...]:
@@ -182,8 +198,8 @@ def invariant_degree_scan(
     if n_max > cap:
         raise ValueError("scan bound exceeds the degree cap")
     found, top = [], -1
-    for n in range(n_max + 1):
-        top = max(top, fock_apply(u, n).degree)
+    for n, degree in enumerate(_column_degrees(u, n_max)):
+        top = max(top, degree)
         if top <= n:
             found.append(n)
     return tuple(found)
@@ -193,9 +209,13 @@ def first_leakage(
     u: WeylElement, n: int, cap: int = DEFAULT_DEGREE_CAP
 ) -> Optional[Tuple[int, FockVector]]:
     """Lowest leaking column of the degree-n flag matrix, with its overflow."""
-    for k, image in enumerate(fock_columns(u, n, cap)):
-        if image.degree > n:
-            return (k, image.split(n)[1])
+    if n < 0:
+        raise ValueError("matrix size bound must be nonnegative")
+    if n > cap:
+        raise DegreeOverflowError(n, cap)
+    for k, degree in enumerate(_column_degrees(u, n)):
+        if degree > n:
+            return (k, fock_apply(u, k).split(n)[1])
     return None
 
 

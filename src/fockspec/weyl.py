@@ -27,7 +27,7 @@ from itertools import accumulate
 from math import comb, gcd, lcm
 import operator
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -91,6 +91,13 @@ class WeylElement:
                 key = (i, j)
                 acc[key] = acc.get(key, Fraction(0)) + c
         object.__setattr__(self, "_terms", {k: v for k, v in acc.items() if v})
+
+    @staticmethod
+    def _of(acc: dict) -> "WeylElement":
+        """Element of an already summed map of ``Fraction``s; zeros are dropped."""
+        u = object.__new__(WeylElement)
+        u._terms = {k: v for k, v in acc.items() if v}
+        return u
 
     @property
     def terms(self) -> TermMap:
@@ -223,12 +230,15 @@ def make(coeff: RationalLike, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP) -> 
 
 
 def add(u: WeylElement, v: WeylElement) -> WeylElement:
-    return WeylElement([*u._terms.items(), *v._terms.items()])
+    acc = dict(u._terms)
+    for key, c in v._terms.items():
+        acc[key] = acc[key] + c if key in acc else c
+    return WeylElement._of(acc)
 
 
 def scale(c: RationalLike, u: WeylElement) -> WeylElement:
     c = as_rational(c)
-    return WeylElement({key: c * v for key, v in u._terms.items()})
+    return WeylElement._of({key: c * v for key, v in u._terms.items()})
 
 
 def multiply(u: WeylElement, v: WeylElement, cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:
@@ -252,7 +262,7 @@ def multiply(u: WeylElement, v: WeylElement, cap: int = DEFAULT_DEGREE_CAP) -> W
                 coeff = c12 * (kfact * comb(j1, k) * comb(i2, k))
                 key = (i1 + i2 - k, j1 + j2 - k)
                 acc[key] = acc.get(key, Fraction(0)) + coeff
-    return WeylElement(acc)
+    return WeylElement._of(acc)
 
 
 def commutator(u: WeylElement, v: WeylElement, cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:
@@ -586,23 +596,17 @@ class FlagMatrix:
         return [list(row) for row in self.entries]
 
 
-def fock_columns(u: WeylElement, n_max: int, cap: int = DEFAULT_DEGREE_CAP) -> Iterator[FockVector]:
-    """Images ``fock_apply(u, k)`` of the basis ``b^k|0>``, k = 0..n_max:
-    the columns of the degree-``n_max`` flag matrix, checked against the cap."""
-    if n_max < 0:
-        raise ValueError("matrix size bound must be nonnegative")
-    if n_max > cap:
-        raise DegreeOverflowError(n_max, cap)
-    return (fock_apply(u, k) for k in range(n_max + 1))
-
-
 def flag_matrix(u: WeylElement, n_max: int, cap: int = DEFAULT_DEGREE_CAP) -> FlagMatrix:
     """Matrix of ``u`` on the basis ``{b^k|0>, k = 0..n_max}``.
 
     Column ``k`` is ``fock_apply(u, k)`` split into in-range entries and an
     overflow record for degrees above ``n_max``.
     """
-    return FlagMatrix.from_columns([image.split(n_max) for image in fock_columns(u, n_max, cap)])
+    if n_max < 0:
+        raise ValueError("matrix size bound must be nonnegative")
+    if n_max > cap:
+        raise DegreeOverflowError(n_max, cap)
+    return FlagMatrix.from_columns([fock_apply(u, k).split(n_max) for k in range(n_max + 1)])
 
 
 def eval_poly_in_L0(coeffs: Sequence[RationalLike], cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:

@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 
+from fockspec import cli
 from fockspec.cli import main
 
 SCHEMA = json.loads(
@@ -470,3 +472,44 @@ def test_exact_commands_do_not_import_numpy():
         env={**os.environ, "PYTHONPATH": src}, check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_numerators_beyond_the_digit_limit_are_written_out():
+    # the exact eigenvector numerators have about 6100 digits, beyond the
+    # int-to-text limit of Python 3.10.7 on; the limit is back after the call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, payload = run_json(
+        "spectrum", "--op", "hermite", "--n", "64", "--realization", "q", "--q", "1000/999"
+    )
+    assert code == 0, payload["diagnostics"]
+    pairs = payload["result"]["eigenpairs"]
+    assert len(pairs) == 65 and max(len(c) for ev in pairs for c in ev["eigenvector"]) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+#: one process, calls in sequence: a target degree and then none, a lattice
+#: realization and then the default, repeated --bind with other values, text
+#: and then JSON, and a usage error in between
+SEQUENCE = [
+    ["classify", "--op", "hermite", "--n", "4"],
+    ["classify", "--op", "hermite"],
+    ["spectrum", "--op", "hermite", "--n", "3", "--realization", "q", "--q", "3"],
+    ["spectrum", "--op", "hermite", "--n", "3"],
+    ["classify", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=4"],
+    ["classify", "--op", "lame", "--bind", "m=3", "--bind", "d=1", "--bind", "n=2"],
+    ["normal-order", "--expr", "x*b"],
+    ["--format", "text", "classify", "--op", "hermite", "--nmax", "3"],
+    ["spectrum", "--op", "hermite"],
+    ["classify", "--op", "hermite", "--nmax", "3"],
+    ["normal-order", "--expr", "x*b", "--bind", "x=3"],
+]
+
+
+def test_shared_parser_carries_no_state_between_calls():
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_arg_parser() is not cli.build_arg_parser()
+    shared = [run_cli(*argv) for argv in SEQUENCE]
+    with mock.patch.object(cli, "_shared_parser", cli.build_arg_parser):
+        fresh = [run_cli(*argv) for argv in SEQUENCE]
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 0, 1, 0, 0]

@@ -1,7 +1,10 @@
 """Each shared path against the definition it replaced.
 
-The invariant-degree scan and ``first_leakage`` read image degrees of the
-Fock action in one pass; the per-degree flag matrices stay the reference.
+The invariant-degree scan and ``first_leakage`` read column degrees off
+integer sums over the raising terms in one pass; the per-degree flag
+matrices and the per-column ``fock_apply`` scan and witness stay the
+reference.  ``add``, ``scale`` and ``multiply`` build their normal form
+without re-validation; the public constructor stays the reference.
 The differential realization is the Fock action itself; the generic
 monomial-basis assembly stays the reference.  Powers use square-and-multiply;
 the repeated product stays the reference.  Horner keeps the float operation
@@ -28,7 +31,7 @@ with back-substitution, and the normalization that followed it in
 import re
 from dataclasses import dataclass
 from fractions import Fraction as F
-from math import comb, gcd, isqrt, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 from unittest import mock
 
 import pytest
@@ -49,6 +52,8 @@ from fockspec.realizations import (
     q_number,
     realize_matrix,
 )
+from fockspec import solvability
+from fockspec.opdsl import lower, parse
 from fockspec.solvability import (
     QESCoeffs,
     first_leakage,
@@ -76,10 +81,14 @@ from fockspec.weyl import (
     DegreeOverflowError,
     FockVector,
     WeylElement,
+    add,
+    falling,
     flag_matrix,
+    fock_apply,
     make,
     multiply,
     power,
+    scale,
     taylor_shift_one,
 )
 
@@ -145,6 +154,83 @@ def test_first_leakage_keeps_the_flag_matrix_errors():
         first_leakage(HERMITE, 65)
     with pytest.raises(ValueError):
         first_leakage(HERMITE, -1)
+
+
+def _image_scan(u, n_max):
+    found, top = [], -1
+    for n in range(n_max + 1):
+        top = max(top, fock_apply(u, n).degree)
+        if top <= n:
+            found.append(n)
+    return tuple(found)
+
+
+def _image_witness(u, n):
+    for k in range(n + 1):
+        image = fock_apply(u, k)
+        if image.degree > n:
+            return (k, image.split(n)[1])
+    return None
+
+
+@st.composite
+def vanishing_top_excess(draw):
+    """A random element plus raising terms of one excess above all of its
+    own, whose coefficient sum cancels at a drawn column."""
+    e, k0 = draw(st.integers(4, 5)), draw(st.integers(0, 8))
+    cs = draw(st.lists(nonzero_rationals(), min_size=1, max_size=3))
+    top = {(j + e, j): c for j, c in enumerate(cs, start=1)}
+    top[(e, 0)] = -sum(c * falling(k0, j) for j, c in enumerate(cs, start=1))
+    return draw(scan_elements()) + WeylElement(top)
+
+
+#: the top excess 2 vanishes at column 4 and excess 1 does not
+VANISHING_TOP = lower(parse("b^3*a - 4*b^2 + b^2*a"), {})
+
+
+@given(st.one_of(scan_elements(), vanishing_top_excess()), st.integers(0, 12))
+@example(VANISHING_TOP, 5)
+@example(jplus(4).element, 4)  # b^2*a - 4*b: invariant at 4 only where the excess cancels
+@example(WeylElement({(2, 1): F(1, 2), (1, 0): -1}), 2)  # cancels at 2 over the lcm 2
+@example(WeylElement({(3, 2): F(1, 3), (2, 1): F(1, 5), (1, 0): F(-16, 15)}), 2)  # lcm 15
+@settings(max_examples=200, deadline=None)
+def test_scan_and_witness_equal_the_per_column_images(u, n):
+    assert invariant_degree_scan(u, n) == _image_scan(u, n)
+    assert first_leakage(u, n) == _image_witness(u, n)
+
+
+def test_scan_builds_no_image_and_a_witness_one():
+    with mock.patch.object(solvability, "fock_apply", wraps=fock_apply) as spy:
+        assert invariant_degree_scan(VANISHING_TOP, 64) == ()
+        assert invariant_degree_scan(HERMITE, 64) == tuple(range(65))
+        assert spy.call_count == 0
+        assert first_leakage(VANISHING_TOP, 5) == _image_witness(VANISHING_TOP, 5)
+        assert spy.call_count == 1
+        assert first_leakage(HERMITE, 64) is None
+        assert spy.call_count == 1
+
+
+def _product_terms(u, v):
+    for (i1, j1), c1 in u.terms.items():
+        for (i2, j2), c2 in v.terms.items():
+            for k in range(min(j1, i2) + 1):
+                coeff = c1 * c2 * factorial(k) * comb(j1, k) * comb(i2, k)
+                yield (i1 + i2 - k, j1 + j2 - k), coeff
+
+
+@given(weyl_elements(), weyl_elements(), rationals())
+@example(WeylElement({(1, 0): 1, (0, 1): 2}), WeylElement({(1, 0): -1}), F(0))
+@example(WeylElement({(0, 1): 1}), WeylElement({(1, 0): 1, (0, 0): -1}), F(1))  # a*b - 1 = b*a
+@settings(max_examples=200, deadline=None)
+def test_normal_form_arithmetic_equals_the_public_constructor(u, v, c):
+    for got, ref in (
+        (add(u, v), WeylElement([*u.terms.items(), *v.terms.items()])),
+        (scale(c, u), WeylElement({key: c * x for key, x in u.terms.items()})),
+        (multiply(u, v), WeylElement(list(_product_terms(u, v)))),
+    ):
+        # the same terms in the same order, so actions still raise at the same term
+        assert list(got.terms.items()) == list(ref.terms.items())
+        assert all(got.terms.values())
 
 
 def test_qes_closed_forms_are_shared():
