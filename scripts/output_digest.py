@@ -12,10 +12,12 @@ library eigenvector op.  The ops are those of ``bench/workloads.py``:
 seeds 0-2 of every workload and every spectrum-catalog point a seed can
 draw (``spectrum_points``), plus the n=64 spectra of Lame(2,1), sextic(1,1),
 Hermite and Laguerre(1/3), the sextic points that exit 4, two classify
-cases of the invariance scan and the Hermite q=1000/999 spectrum, whose
-eigenvector numerators have thousands of digits.  ``--src`` picks the
-package source to import, so that two checkouts can be compared against
-the same op lists.
+cases of the invariance scan, the Hermite q=1000/999 spectrum, whose
+eigenvector numerators have thousands of digits, and ops that reach the
+integer flag matrices and ``char_poly`` at n=64, at a negative and a
+large-height q, on a matrix that is not Hessenberg and on a refused
+q-lattice span.  ``--src`` picks the package source to import, so that
+two checkouts can be compared against the same op lists.
 """
 
 import argparse
@@ -43,6 +45,17 @@ EXTRA = [
     ["classify", "--expr", "b^3*a - 4*b^2 + b^2*a", "--nmax", "64"],
     # eigenvector numerators of about 6100 digits
     ["spectrum", "--op", "hermite", "--n", "64", "--realization", "q", "--q", "1000/999"],
+    # integer flag columns and char_poly at the degree cap, over every realization
+    ["isospectral", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=64",
+     "--n", "64", "--fibers", "0"],
+    # negative and large-height q, a large-height delta ("--qs=": "-1/2" alone
+    # would be read as an option)
+    ["isospectral", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=16",
+     "--n", "16", "--qs=-1/2,1000/999", "--deltas", "1000003/7"],
+    # lower bandwidth 2: the similarity to Hessenberg form runs
+    ["spectrum", "--expr", "b^2*(b*a-5)*(b*a-4) + b*a", "--n", "5"],
+    # {2}_q = 0 at q = -1: the span is refused
+    ["spectrum", "--op", "hermite", "--n", "3", "--realization", "q", "--q", "-1"],
 ]
 
 

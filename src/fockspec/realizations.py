@@ -15,13 +15,15 @@ vector of its coefficients (``x^k`` for ``b^k|0>``), so ``UniPoly`` is
 :class:`BiPoly`, whose rows (one zbar-polynomial per power of z) are that
 same type, and is exposed only through fiber matrices over a vacuum
 ``z^m``.  Every image is one linear combination of the actions it needs.
-Everything is exact rational arithmetic.
+Everything is exact: each action maps integer numerators over a common
+denominator to the same form, in which matrix columns stay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -191,7 +193,7 @@ class Realization:
         """Matrix of ``u`` in the monomial basis ``{x^0 .. x^n_max}``, with
         image coefficients above ``n_max`` recorded as leakage."""
         return FlagMatrix.from_columns(
-            [self.apply(u, UniPoly.basis(k)).split(n_max) for k in range(n_max + 1)]
+            [self.apply(u, UniPoly.basis(k))._cut(n_max) for k in range(n_max + 1)]
         )
 
     def fiber(self, m: int) -> "Realization":
@@ -242,7 +244,9 @@ class DeltaLattice(Realization):
 
 @dataclass(frozen=True)
 class QLattice(Realization):
-    """Exponential-lattice pair built from the dilation x -> q x."""
+    """Exponential-lattice pair built from the dilation x -> q x.  With
+    ``q = s/t``, ``{k}_q = N_k / t^(k-1)`` for the integer ``N_k = (s^k -
+    t^k) / (s - t)``, so the actions keep integer numerators."""
 
     q: Rational
 
@@ -250,44 +254,39 @@ class QLattice(Realization):
         object.__setattr__(self, "q", as_rational(self.q))
         if self.q in (0, 1):
             raise ValueError("q must differ from 0 and 1")
-        object.__setattr__(self, "_q_numbers", (Fraction(0),))
 
     @property
     def label(self) -> str:
         return f"q={self.q}"
 
-    def _q_table(self, n: int) -> Tuple[Rational, ...]:
-        """``{0}_q .. {n}_q`` (at least), from ``{k+1}_q = q {k}_q + 1``.
+    def _n(self, k: int) -> int:
+        """``N_k``; zero exactly when ``{k}_q`` is."""
+        s, t = self.q.numerator, self.q.denominator
+        return (s**k - t**k) // (s - t)
 
-        The table is kept; a longer one replaces it whole, so the instance
-        can be shared between threads."""
-        table = self._q_numbers
-        if len(table) <= n:
-            while len(table) <= n:
-                table += (table[-1] * self.q + 1,)
-            object.__setattr__(self, "_q_numbers", table)
-        return table
+    def matrix(self, u: WeylElement, n_max: int) -> FlagMatrix:
+        # a x^k = 0 where {k}_q = 0, so [a, b] = 1 fails on a span holding x^k
+        for k in (k for k in range(1, n_max + 1) if not self._n(k)):
+            raise ValueError(f"q-lattice pair is not a Heisenberg pair on degrees "
+                             f"0..{n_max}: {{{k}}}_q = 0 for q = {self.q}")
+        return super().matrix(u, n_max)
 
     def act_a(self, p: UniPoly) -> UniPoly:
-        qn = self._q_table(p.degree)
-        out = [Fraction(0)] * max(len(p.coeffs) - 1, 0)
-        for n, c in enumerate(p.coeffs):
-            if n and c:
-                out[n - 1] = c * qn[n]
-        return UniPoly(tuple(out))
+        """``c x^n -> {n}_q c x^(n-1) = N_n t^(d-n) c / t^(d-1) x^(n-1)``,
+        ``d`` the degree of ``p``."""
+        t, d = self.q.denominator, p.degree
+        out = [c * self._n(n) * t ** (d - n) if c else 0 for n, c in enumerate(p._nums) if n]
+        return UniPoly._normalized(out, p._den * t ** max(d - 1, 0))
 
     def act_b(self, p: UniPoly) -> UniPoly:
-        qn = self._q_table(p.degree + 1)
-        out = [Fraction(0)] * (len(p.coeffs) + 1)
-        for n, c in enumerate(p.coeffs):
-            if not c:
-                continue
-            if not qn[n + 1]:
-                raise ValueError(
-                    f"raising action undefined: {{{n + 1}}}_q = 0 for q = {self.q}"
-                )
-            out[n + 1] = c * (n + 1) / qn[n + 1]
-        return UniPoly(tuple(out))
+        """``c x^n -> (n+1) t^n / N_(n+1) c x^(n+1)``, over the lcm of the
+        ``N_(n+1)``; a vanishing one raises at the lowest term meeting it."""
+        t, ns = self.q.denominator, {n: self._n(n + 1) for n, c in enumerate(p._nums) if c}
+        for n in (n for n, x in ns.items() if not x):
+            raise ValueError(f"raising action undefined: {{{n + 1}}}_q = 0 for q = {self.q}")
+        big = lcm(*ns.values())
+        out = [0] + [c * (n + 1) * t**n * (big // ns[n]) if c else 0 for n, c in enumerate(p._nums)]
+        return UniPoly._normalized(out, p._den * big)
 
 
 @dataclass(frozen=True)
@@ -356,31 +355,24 @@ def complex_fiber_matrix(u: WeylElement, m: int, n_max: int) -> FlagMatrix:
     """
     if m < 0:
         raise ValueError("vacuum z-degree must be nonnegative")
-    size = n_max + 1
-    basis = [BiPoly.monomial(m, 0)]
+    basis = [BiPoly._of([UniPoly()] * m + [UniPoly.one()])]  # z^m
     for _ in range(n_max):
         basis.append(complex_act_b(basis[-1]))
-
-    def marker_row(f: BiPoly) -> Tuple[Rational, ...]:
-        """Coefficients of ``z^m zbar^r`` in ``f``, r = 0..n_max."""
-        row = f._row(m).coeffs[:size]
-        return row + (Fraction(0),) * (size - len(row))
-
     for k, e in enumerate(basis):
-        if marker_row(e) != tuple(int(r == k) for r in range(size)):
+        if e._row(m)._cut(n_max)[0] != UniPoly.basis(k):
             raise SingularBasisError(
                 f"fiber basis element {k} lost its marker monomial z^{m} zbar^{k}"
             )
     columns = []
-    for k in range(size):
-        w = ComplexPlane().apply(u, basis[k])
+    for e in basis:
+        w = ComplexPlane().apply(u, e)
         # the check above proves row m of basis[r] is exactly zbar^r on
         # degrees 0..n_max, so subtracting it changes no other coordinate
         # and all of them can be read off w before any subtraction
-        coords = marker_row(w)
-        residual = BiPoly.combination(
-            [(w, 1)] + [(basis[r], -c) for r, c in enumerate(coords) if c]
-        )
+        coords = w._row(m)._cut(n_max)[0]
+        residual = BiPoly.combination([(w, 1)] + [
+            (basis[r], Fraction(-x, coords._den)) for r, x in enumerate(coords._nums) if x
+        ])
         columns.append((coords, residual))
     return FlagMatrix.from_columns(columns)
 

@@ -1,11 +1,10 @@
 """Exact characteristic polynomials, eigenvalues and eigenvectors.
 
 The pipeline is exact-first: restrictions to invariant degree spans are
-rational matrices, and an exact similarity to upper Hessenberg form (which
-they already have, since they raise the degree of ``b^k|0>`` by at most one)
-gives the characteristic polynomial by the leading-minor recurrence.  The
-recurrence runs on polynomials that keep integer numerators over one common
-denominator (``UniPoly``), so it is integer arithmetic, and the coefficients
+rational matrices kept as integer columns (``FlagMatrix``), and an integer
+similarity to upper Hessenberg form (which they already have, since they
+raise the degree of ``b^k|0>`` by at most one) gives the characteristic
+polynomial by the leading-minor recurrence, in integers; its coefficients
 are divided out to Fractions only when they are read.  Roots are found per
 square-free factor, scaled to a primitive integer polynomial: Descartes'
 rule of signs on integer Taylor shifts isolates the real roots, rational
@@ -26,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
-from .weyl import Rational, WeylElement, as_rational, horner, taylor_shift_one
+from .weyl import FlagMatrix, Rational, WeylElement, as_rational, horner, taylor_shift_one
 
 Matrix = List[List[Rational]]
 
@@ -56,21 +55,24 @@ class NonConvergenceError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def restrict(
-    u: WeylElement, r: Realization, n: int, fiber_m: int = 0
-) -> Matrix:
+def _invariant_matrix(u: WeylElement, r: Realization, n: int) -> FlagMatrix:
+    """:func:`restrict` as a :class:`FlagMatrix`."""
+    if n < 0:
+        raise ValueError("matrix size bound must be nonnegative")
+    fm = realize_matrix(u, r, n)
+    if fm.has_leakage:
+        col = min(fm.leakage)
+        raise LeakageError(col, fm.leakage[col])
+    return fm
+
+
+def restrict(u: WeylElement, r: Realization, n: int, fiber_m: int = 0) -> Matrix:
     """The (n+1)x(n+1) matrix of ``u`` on the degree-n span of ``r``.
 
     Raises :class:`LeakageError` (with the witness column and overflow) if
     the span is not invariant.
     """
-    if n < 0:
-        raise ValueError("matrix size bound must be nonnegative")
-    fm = realize_matrix(u, r.fiber(fiber_m), n)
-    if fm.has_leakage:
-        col = min(fm.leakage)
-        raise LeakageError(col, fm.leakage[col])
-    return fm.to_rows()
+    return _invariant_matrix(u, r.fiber(fiber_m), n).to_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -149,43 +151,61 @@ class CharPoly(UniPoly):
         return " ".join(parts) if parts else "0"
 
 
-def char_poly(m: Matrix) -> CharPoly:
-    """Exact monic characteristic polynomial: an exact similarity clears
-    each column below its subdiagonal (a nonzero entry is swapped onto the
-    subdiagonal first), and the leading principal minors of the Hessenberg
-    form follow from ``p_k = (t - h_kk) p_{k-1} - sum_{i<k} h_ik
-    h_{i+1,i}...h_{k,k-1} p_{i-1}``, a sum that ends at a zero subdiagonal
-    or at the top nonzero entry of column k, and is formed as one linear
-    combination."""
-    n = len(m)
-    if any(len(row) != n for row in m):
+def _term(p: UniPoly, num: int, den: int) -> Tuple[UniPoly, int]:
+    """``num/den`` times ``p``, reduced, as an integer ``combination`` pair."""
+    g = math.gcd(num, den)
+    return UniPoly._of(p._nums, p._den * (den // g)), num // g
+
+
+def char_poly(m: Union[Matrix, FlagMatrix]) -> CharPoly:
+    """Exact monic characteristic polynomial, in integers, on columns of
+    integer numerators over a denominator (those of a :class:`FlagMatrix`;
+    rows of rationals are converted once).  A matrix that is not upper
+    Hessenberg is scaled to an integer ``A = c M``, and column ``s - 1`` is
+    cleared below row ``s`` (a nonzero entry swapped up first) by ``F A G =
+    p^2 E A E^-1``, ``F = p I - sum f_i e_i e_s^T``, ``G = p I + sum f_i e_i
+    e_s^T`` for the pivot ``p`` and entries ``f_i`` below it; the content
+    divides out of ``A`` and ``c``.  The leading principal minors follow from
+    ``p_k = (t - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i}...h_{k,k-1}
+    p_{i-1}``, a sum that ends at a zero subdiagonal or at the top nonzero
+    entry of column k, and is formed as one linear combination."""
+    if isinstance(m, FlagMatrix):
+        columns = m.columns
+    elif any(len(row) != len(m) for row in m):
         raise ValueError("characteristic polynomial needs a square matrix")
-    h = [[as_rational(x) for x in row] for row in m]
-    for s in range(1, n - 1):  # clear column s - 1 below row s
-        pivot = next((i for i in range(s, n) if h[i][s - 1]), None)
-        if pivot is None:
-            continue
-        h[s], h[pivot] = h[pivot], h[s]
-        for row in h:
-            row[s], row[pivot] = row[pivot], row[s]
-        for i in range(s + 1, n):
-            if h[i][s - 1]:
-                f = h[i][s - 1] / h[s][s - 1]
-                h[i] = [x - f * y for x, y in zip(h[i], h[s])]
-                for row in h:
-                    row[s] += f * row[i]
+    else:
+        columns = [UniPoly(col) for col in zip(*m)]
+    n, dens = len(columns), [c._den for c in columns]
+    a = [list(c._nums) + [0] * (n - len(c._nums)) for c in columns]
+    if any(any(col[k + 2:]) for k, col in enumerate(a)):
+        num, den = math.lcm(*dens), 1
+        a = [[x * (num // d) for x in col] for col, d in zip(a, dens)]
+        for s in range(1, n - 1):  # a[c][r]; clear column s - 1 below row s
+            if not any(a[s - 1][s + 1:]):
+                continue
+            pivot = next(i for i in range(s, n) if a[s - 1][i])
+            a[s], a[pivot] = a[pivot], a[s]
+            for col in a:
+                col[s], col[pivot] = col[pivot], col[s]
+            p, f = a[s - 1][s], [x if i > s else 0 for i, x in enumerate(a[s - 1])]
+            fa = [[p * x - fi * col[s] for x, fi in zip(col, f)] for col in a]
+            a = [[p * x for x in col] for col in fa]
+            a[s] = [x + sum(fi * col[r] for fi, col in zip(f, fa)) for r, x in enumerate(a[s])]
+            g = math.gcd(*(x for col in a for x in col))
+            a, num, den = [[x // g for x in col] for col in a], num * p * p, den * g
+        a, dens = [[x * den for x in col] for col in a], [num] * n
     minors = [UniPoly.one()]
-    for k in range(n):
-        parts = [(minors[k].times_x(), 1), (minors[k], -h[k][k])]
-        top, chain = next((i for i in range(k) if h[i][k]), k), Fraction(1)
+    for k, col in enumerate(a):
+        parts = [(minors[k].times_x(), 1), _term(minors[k], -col[k], dens[k])]
+        top, chain, chain_den = next((i for i in range(k) if col[i]), k), 1, 1
         for i in range(k - 1, top - 1, -1):
-            chain *= h[i + 1][i]
+            chain, chain_den = chain * a[i][i + 1], chain_den * dens[i]
             if not chain:
                 break
-            if h[i][k]:
-                parts.append((minors[i], -h[i][k] * chain))
+            if col[i]:
+                parts.append(_term(minors[i], -col[i] * chain, dens[k] * chain_den))
         minors.append(UniPoly.combination(parts))
-    return CharPoly(minors[n].coeffs)
+    return CharPoly._of(minors[n]._nums, minors[n]._den)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +597,7 @@ def isospectral_check(
     # the complex plane enters once per vacuum listed in fiber_ms
     spaces = [r for r in realizations if r != ComplexPlane()]
     spaces += [ComplexPlane().fiber(m) for m in fiber_ms]
-    entries = [(s.label, char_poly(restrict(u, s, n))) for s in spaces]
+    entries = [(s.label, char_poly(_invariant_matrix(u, s, n))) for s in spaces]
     first = entries[0][1] if entries else None
     all_equal = all(cp == first for _, cp in entries)
     return IsospectralReport(degree=n, entries=tuple(entries), all_equal=all_equal)

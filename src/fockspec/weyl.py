@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import comb, gcd, lcm
 import operator
@@ -319,89 +320,80 @@ class FockVector:
     and numerators and denominator have gcd 1.  Arithmetic is integer
     arithmetic with one normalization per operation, the fraction-free idea
     of Bareiss (Math. Comp. 22, 1968); ``coeffs``, the tuple of
-    ``Fraction``s, is divided out only when it is read.  A vector built from
-    rationals keeps them and finds its numerators only when it first takes
-    part in arithmetic.  Instances are immutable.
+    ``Fraction``s, is divided out only when it is read (the lcm of reduced
+    denominators is coprime to the numerators it gives).  Instances are
+    immutable.
     """
 
     __slots__ = ("_coeffs", "_nums", "_den")
 
     def __init__(self, coeffs: Sequence[RationalLike] = ()):
-        cs = tuple(as_rational(c) for c in coeffs)
+        cs = [as_rational(c) for c in coeffs]
         while cs and not cs[-1]:
-            cs = cs[:-1]
-        self._coeffs = cs
-        self._nums = None
+            cs.pop()
+        self._den = lcm(*(c.denominator for c in cs))
+        self._nums = tuple(c.numerator * (self._den // c.denominator) for c in cs)
+        self._coeffs = tuple(cs)
 
-    @staticmethod
-    def _of(nums: Tuple[int, ...], den: int) -> "FockVector":
+    @classmethod
+    def _of(cls, nums: Tuple[int, ...], den: int) -> "FockVector":
         """Vector of already normalized numerators over ``den``."""
-        v = object.__new__(FockVector)
+        v = object.__new__(cls)
         v._coeffs, v._den, v._nums = None, den, nums
         return v
 
-    @staticmethod
-    def _normalized(nums: list, den: int) -> "FockVector":
+    @classmethod
+    def _normalized(cls, nums: list, den: int) -> "FockVector":
         """Vector of ``nums / den`` (``den > 0``), trimmed and reduced."""
         while nums and not nums[-1]:
             nums.pop()
         g = gcd(den, *nums)
         if g != 1:
             nums, den = [x // g for x in nums], den // g
-        return FockVector._of(tuple(nums), den)
-
-    def _ints(self) -> Tuple[Tuple[int, ...], int]:
-        """Numerators and their common denominator.  For a vector built from
-        reduced rationals the lcm of their denominators is already coprime
-        to the numerators it gives."""
-        if self._nums is None:
-            cs = self._coeffs
-            den = lcm(*(c.denominator for c in cs))
-            self._den = den
-            self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
-        return self._nums, self._den
+        return cls._of(tuple(nums), den)
 
     @property
     def numerators(self) -> Tuple[int, ...]:
         """Integer numerators over the common denominator; they and the
         denominator have gcd 1, so they are the coefficients scaled by the
         lcm of their denominators."""
-        return self._ints()[0]
+        return self._nums
 
     @property
     def coeffs(self) -> Tuple[Rational, ...]:
         if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple(Fraction(x, den) for x in self._nums)
+            self._coeffs = tuple(Fraction(x, self._den) for x in self._nums)
         return self._coeffs
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        # numerators and denominator are normalized, so unique
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash((self.coeffs,))
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(coeffs={self.coeffs!r})"
 
     @classmethod
     def basis(cls, k: int, coeff: RationalLike = 1) -> "FockVector":
-        return cls((Fraction(0),) * k + (as_rational(coeff),))
+        c = as_rational(coeff)
+        return cls._normalized([0] * k + [c.numerator], c.denominator)
 
     @classmethod
     def one(cls) -> "FockVector":
-        return cls((Fraction(1),))
+        return cls._of((1,), 1)
 
     @property
     def is_zero(self) -> bool:
-        return not (self._nums if self._coeffs is None else self._coeffs)
+        return not self._nums
 
     @property
     def degree(self) -> int:
         """Top degree with nonzero coefficient, or -1 for the zero vector."""
-        return len(self._nums if self._coeffs is None else self._coeffs) - 1
+        return len(self._nums) - 1
 
     def __getitem__(self, k: int) -> Rational:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -425,7 +417,7 @@ class FockVector:
             if type(c) is not int:
                 c = as_rational(c)
             if c:
-                nums, den = v._ints()
+                nums, den = v._nums, v._den
                 if nums:
                     terms.append((len(nums), nums, c.numerator, c.denominator * den))
         if not terms:
@@ -449,14 +441,14 @@ class FockVector:
         c = as_rational(c)
         if not c:
             return FockVector()
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         g1, g2 = gcd(c.numerator, den), gcd(c.denominator, *nums)
         s = c.numerator // g1
         nums = [x // g2 * s for x in nums] if g2 != 1 else [x * s for x in nums]
         return FockVector._of(tuple(nums), den // g1 * (c.denominator // g2))
 
     def monic(self) -> "FockVector":
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         return self.scale(Fraction(den, nums[-1]))
 
     def __divmod__(self, den: "FockVector") -> Tuple["FockVector", "FockVector"]:
@@ -466,7 +458,7 @@ class FockVector:
         scales the remainder by ``lead / gcd(lead, top)`` so that the top
         cancels in integers; the product ``s`` of those factors divides out
         once at the end."""
-        (num, dn), (d, dd) = self._ints(), den._ints()
+        num, dn, d, dd = self._nums, self._den, den._nums, den._den
         lead, top, s = d[-1], len(d) - 1, 1
         rem, q = list(num), [0] * max(len(num) - top, 0)
         for shift in range(len(q) - 1, -1, -1):
@@ -490,11 +482,11 @@ class FockVector:
     def times_x(self) -> "FockVector":
         if self.is_zero:
             return self
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         return FockVector._of((0,) + nums, den)
 
     def derivative(self) -> "FockVector":
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         return FockVector._normalized([d * c for d, c in enumerate(nums)][1:], den)
 
     def shifted(self, h: RationalLike) -> "FockVector":
@@ -510,7 +502,7 @@ class FockVector:
         h = as_rational(h)
         if not h or self.is_zero:
             return self
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         s, t, n = h.numerator, h.denominator, len(nums) - 1
         q = taylor_shift_one([c * s**d * t ** (n - d) for d, c in enumerate(nums)])
         out = [v // s**d * t**d for d, v in enumerate(q)]
@@ -519,77 +511,73 @@ class FockVector:
     def __call__(self, x: RationalLike) -> Rational:
         return horner(self.coeffs, as_rational(x))
 
+    def _cut(self, n: int) -> Tuple["FockVector", "FockVector"]:
+        """The part of degrees ``0..n`` and the part above ``n``."""
+        low, high = list(self._nums[:n + 1]), [0] * (n + 1) + list(self._nums[n + 1:])
+        return FockVector._normalized(low, self._den), FockVector._normalized(high, self._den)
+
     def split(self, n: int) -> Tuple[Tuple[Rational, ...], "FockVector"]:
         """Coefficients of degrees ``0..n``, and the part above ``n`` (zero
         below): a flag-matrix column and its leakage out of that span."""
-        above = self.coeffs[n + 1:]
-        leak = FockVector((Fraction(0),) * (n + 1) + above) if above else FockVector()
-        return self.coeffs[:n + 1], leak
+        return self.coeffs[:n + 1], self._cut(n)[1]
 
 
 def fock_apply(u: WeylElement, k: int) -> FockVector:
     """Exact image of ``b^k|0>`` under ``u`` via the falling-factorial action."""
     if k < 0:
         raise ValueError("basis degree must be nonnegative")
-    acc: dict[int, Fraction] = {}
-    for (i, j), c in u._terms.items():
-        if j > k:
-            continue
-        deg = k - j + i
-        acc[deg] = acc.get(deg, Fraction(0)) + c * falling(k, j)
-    if not acc:
-        return FockVector()
-    top = max(acc)
-    return FockVector(tuple(acc.get(d, Fraction(0)) for d in range(top + 1)))
+    terms = [(k - j + i, c, falling(k, j)) for (i, j), c in u._terms.items() if j <= k]
+    den = lcm(*[c.denominator for _, c, _ in terms])
+    acc = [0] * (max([d for d, _, _ in terms], default=-1) + 1)
+    for d, c, f in terms:
+        acc[d] += c.numerator * (den // c.denominator) * f
+    return FockVector._normalized(acc, den)
 
 
 @dataclass(frozen=True)
 class FlagMatrix:
     """Matrix of an operator on a degree-filtered basis, plus overflow records.
 
-    ``entries[r][c]`` is the coefficient of basis vector ``r`` in the image of
-    basis vector ``c``.  ``leakage`` maps a column to the part of its image
-    that escapes the truncated basis: a :class:`FockVector` of degrees beyond
-    the cut for Fock and univariate bases, a bivariate remainder for
-    complex-plane fiber bases.  Empty leakage for every column means the
-    truncated span is invariant.
+    ``columns[c]``, integer numerators over a denominator, is the in-span
+    image of basis vector ``c``; ``entries[r][c]`` is its coefficient of
+    basis vector ``r``, a ``Fraction`` built only when read.  ``leakage``
+    maps a column to the part of its image that escapes the truncated basis:
+    a :class:`FockVector` of degrees beyond the cut for Fock and univariate
+    bases, a bivariate remainder for complex-plane fiber bases.  Empty
+    leakage for every column means the truncated span is invariant.
     """
 
-    entries: Tuple[Tuple[Rational, ...], ...]
+    columns: Tuple[FockVector, ...]
     leakage: Mapping[int, object]
 
     def __post_init__(self):
         object.__setattr__(self, "leakage", MappingProxyType(dict(self.leakage)))
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Tuple[Sequence[Rational], object]]) -> "FlagMatrix":
-        """Matrix from one ``(coordinates, leakage)`` pair per column; a
+    def from_columns(cls, columns: Sequence[Tuple[FockVector, object]]) -> "FlagMatrix":
+        """Matrix from one ``(in-span column, leakage)`` pair per column; a
         zero leakage is not recorded."""
-        size = len(columns)
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        leakage = {}
-        for k, (coords, leak) in enumerate(columns):
-            for r, c in enumerate(coords):
-                rows[r][k] = c
-            if not leak.is_zero:
-                leakage[k] = leak
-        return cls(tuple(tuple(row) for row in rows), leakage)
+        leakage = {k: leak for k, (_, leak) in enumerate(columns) if not leak.is_zero}
+        return cls(tuple(col for col, _ in columns), leakage)
+
+    @cached_property
+    def entries(self) -> Tuple[Tuple[Rational, ...], ...]:
+        size, zero = len(self.columns), Fraction(0)  # one zero, shared
+        return tuple(zip(*[c.coeffs + (zero,) * (size - len(c.coeffs)) for c in self.columns]))
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.columns)
 
     @property
     def has_leakage(self) -> bool:
         return bool(self.leakage)
 
     def diagonal(self) -> Tuple[Rational, ...]:
-        return tuple(self.entries[k][k] for k in range(self.size))
+        return tuple(col[k] for k, col in enumerate(self.columns))
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            not self.entries[r][c] for r in range(self.size) for c in range(r)
-        )
+        return all(col.degree <= k for k, col in enumerate(self.columns))
 
     def to_rows(self) -> list[list[Rational]]:
         """Mutable copy for downstream exact linear algebra."""
@@ -599,14 +587,14 @@ class FlagMatrix:
 def flag_matrix(u: WeylElement, n_max: int, cap: int = DEFAULT_DEGREE_CAP) -> FlagMatrix:
     """Matrix of ``u`` on the basis ``{b^k|0>, k = 0..n_max}``.
 
-    Column ``k`` is ``fock_apply(u, k)`` split into in-range entries and an
+    Column ``k`` is ``fock_apply(u, k)`` cut into its in-range part and an
     overflow record for degrees above ``n_max``.
     """
     if n_max < 0:
         raise ValueError("matrix size bound must be nonnegative")
     if n_max > cap:
         raise DegreeOverflowError(n_max, cap)
-    return FlagMatrix.from_columns([fock_apply(u, k).split(n_max) for k in range(n_max + 1)])
+    return FlagMatrix.from_columns([fock_apply(u, k)._cut(n_max) for k in range(n_max + 1)])
 
 
 def eval_poly_in_L0(coeffs: Sequence[RationalLike], cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:

@@ -332,6 +332,20 @@ def test_undefined_q_raising_action_exits_1():
     assert payload["diagnostics"] == ["raising action undefined: {2}_q = 0 for q = -1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--op", "hermite", "--n", "3", "--realization", "q", "--q", "-1"],
+    ["isospectral", "--op", "hermite", "--n", "3", "--qs", "-1"],
+])
+def test_q_lattice_span_with_a_vanishing_q_number_exits_1(argv):
+    # {2}_q = 0 at q = -1, so a x^2 = 0 and [a, b] = 1 fails on every span
+    # that holds x^2: the spectrum would read 0, 0, 1, 3 in place of 0..3
+    code, payload = run_json(*argv)
+    assert code == 1
+    assert payload["diagnostics"] == [
+        "q-lattice pair is not a Heisenberg pair on degrees 0..3: {2}_q = 0 for q = -1"
+    ]
+
+
 def test_numeric_non_convergence_exits_4():
     # complex pair with a one-step iteration budget cannot converge
     code, payload = run_json(

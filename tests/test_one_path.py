@@ -25,10 +25,14 @@ Sturm chain, its isolation and its gcd stay the reference, and so does the
 bisection that takes a Taylor shift of every part.  Nullspaces come from
 sparse column reduction on the lowest nonzero row; row echelon elimination
 with back-substitution, and the normalization that followed it in
-``eigenvector``, stay the reference.
+``eigenvector``, stay the reference.  Flag matrices keep integer columns,
+the q-lattice acts on integer numerators and ``char_poly`` runs in
+integers; the ``Fraction`` rows of the assembly, the ``Fraction`` table of
+q-numbers and the ``Fraction`` similarity and recurrence stay the reference.
 """
 
 import re
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import comb, factorial, gcd, isqrt, lcm
@@ -79,6 +83,7 @@ from fockspec.spectra import (
 )
 from fockspec.weyl import (
     DegreeOverflowError,
+    FlagMatrix,
     FockVector,
     WeylElement,
     add,
@@ -484,7 +489,7 @@ def _same(v, ref):
     vector built from those coefficients."""
     assert type(v) is FockVector and v.coeffs == ref.coeffs
     assert all(type(c) is F for c in v.coeffs)
-    nums, den = v._ints()
+    nums, den = v._nums, v._den
     assert den > 0 and gcd(den, *nums) == 1 and (not nums or nums[-1])
     assert tuple(F(x, den) for x in nums) == ref.coeffs
     built = FockVector(ref.coeffs)
@@ -555,7 +560,7 @@ def test_integer_vector_keeps_the_errors():
     assert cp.scale(1) == FockVector(cp.coeffs)
 
 
-# -- the q-number table ----------------------------------------------------------
+# -- q-numbers ---------------------------------------------------------------------
 
 
 @given(st.one_of(st.just(F(-1)), nonzero_rationals().filter(lambda q: q != 1)), coefficient_lists)
@@ -776,6 +781,211 @@ def _sequential_char_poly(m):
 def test_char_poly_minors_equal_the_sequential_recurrence(m):
     hessenberg = [[x if i - j <= 1 else F(0) for j, x in enumerate(row)] for i, row in enumerate(m)]
     assert char_poly(hessenberg).coeffs == _sequential_char_poly(hessenberg)
+
+
+# -- integer flag matrices and characteristic polynomials --------------------------
+
+
+def _fraction_char_poly(m):
+    """The ``char_poly`` that the integer recurrence replaced: every entry
+    copied to a ``Fraction``, a rational similarity to Hessenberg form and
+    the leading-minor recurrence with ``Fraction`` chain products."""
+    n = len(m)
+    h = [[F(x) for x in row] for row in m]
+    for s in range(1, n - 1):
+        pivot = next((i for i in range(s, n) if h[i][s - 1]), None)
+        if pivot is None:
+            continue
+        h[s], h[pivot] = h[pivot], h[s]
+        for row in h:
+            row[s], row[pivot] = row[pivot], row[s]
+        for i in range(s + 1, n):
+            if h[i][s - 1]:
+                f = h[i][s - 1] / h[s][s - 1]
+                h[i] = [x - f * y for x, y in zip(h[i], h[s])]
+                for row in h:
+                    row[s] += f * row[i]
+    minors = [FockVector.one()]
+    for k in range(n):
+        parts = [(minors[k].times_x(), 1), (minors[k], -h[k][k])]
+        top, chain = next((i for i in range(k) if h[i][k]), k), F(1)
+        for i in range(k - 1, top - 1, -1):
+            chain *= h[i + 1][i]
+            if not chain:
+                break
+            if h[i][k]:
+                parts.append((minors[i], -h[i][k] * chain))
+        minors.append(FockVector.combination(parts))
+    return minors[n].coeffs
+
+
+#: numerators and denominators up to 2^64
+huge_rationals = st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+@st.composite
+def char_poly_matrices(draw):
+    """Hessenberg, triangular, split (a zero subdiagonal entry) or wider
+    band matrices; in the last a column often has a zero subdiagonal entry
+    over a nonzero one, which the similarity swaps up.  Entries are small
+    or have numerators and denominators up to 2^64."""
+    n = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(F(0)), rationals(), huge_rationals)
+    shape = draw(st.sampled_from(["hessenberg", "triangular", "split", "band"]))
+    band = {"triangular": 0, "band": draw(st.integers(2, max(n, 2)))}.get(shape, 1)
+    m = [[draw(entry) if i - j <= band else F(0) for j in range(n)] for i in range(n)]
+    if shape == "split" and n > 1:
+        for i in draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2)):
+            m[i][i - 1] = F(0)
+    if shape == "band" and n > 2:
+        j = draw(st.integers(0, n - 3))
+        m[j + 1][j] = F(0)
+        below = st.one_of(nonzero_rationals(), huge_rationals)
+        m[draw(st.integers(j + 2, n - 1))][j] = draw(below)
+    return m
+
+
+def _flag(m):
+    """``m`` as a flag matrix of integer columns with no leakage."""
+    return FlagMatrix.from_columns([(FockVector(col), FockVector()) for col in zip(*m)])
+
+
+def _refuse_fraction_arithmetic(stack):
+    """Patch ``Fraction`` on ``stack`` so that any arithmetic raises."""
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        stack.enter_context(mock.patch.object(F, name, refuse))
+
+
+@given(char_poly_matrices())
+@example([[F(1), F(2), F(3)], [F(0), F(5), F(6)], [F(7), F(8), F(10)]])  # swap, then clear
+@example([[F(2**64, 3), F(1, 2**64)], [F(-(2**64) + 1, 2**63), F(0)]])
+@settings(max_examples=200, deadline=2000)
+def test_integer_char_poly_equals_the_fraction_similarity(m):
+    expected = _fraction_char_poly(m)
+    cp = char_poly(m)
+    assert type(cp) is CharPoly and cp == CharPoly(expected)
+    fm = _flag(m)
+    with ExitStack() as stack:
+        # no Fraction arithmetic touches a matrix that is already Hessenberg
+        if all(not x for i, row in enumerate(m) for x in row[:max(i - 1, 0)]):
+            _refuse_fraction_arithmetic(stack)
+        from_columns = char_poly(fm)
+    assert from_columns == cp
+
+
+class _TableQLattice:
+    """The q-lattice actions that the integer ones replaced: ``{k}_q`` from
+    a ``Fraction`` table, one ``Fraction`` per coefficient."""
+
+    def __init__(self, q):
+        self.q, self.table = q, [F(0)]
+
+    def _q_table(self, n):
+        while len(self.table) <= n:
+            self.table.append(self.table[-1] * self.q + 1)
+        return self.table
+
+    def act_a(self, p):
+        qn = self._q_table(p.degree)
+        out = [F(0)] * max(len(p.coeffs) - 1, 0)
+        for n, c in enumerate(p.coeffs):
+            if n and c:
+                out[n - 1] = c * qn[n]
+        return FockVector(tuple(out))
+
+    def act_b(self, p):
+        qn = self._q_table(p.degree + 1)
+        out = [F(0)] * (len(p.coeffs) + 1)
+        for n, c in enumerate(p.coeffs):
+            if not c:
+                continue
+            if not qn[n + 1]:
+                raise ValueError(f"raising action undefined: {{{n + 1}}}_q = 0 for q = {self.q}")
+            out[n + 1] = c * (n + 1) / qn[n + 1]
+        return FockVector(tuple(out))
+
+
+#: q below -1, equal to -1, or of large height
+wide_qs = st.one_of(
+    st.just(F(-1)),
+    st.builds(F, st.integers(-(2**64), -2), st.integers(1, 9)),
+    huge_rationals.filter(lambda q: q not in (0, 1)),
+    nonzero_rationals().filter(lambda q: q != 1),
+)
+
+
+@given(wide_qs, st.lists(st.one_of(st.just(F(0)), huge_rationals), max_size=8))
+@example(F(-1), [F(0), F(3, 2)])  # {2}_q = 0 met by x^1
+@example(F(2**64 + 1, 2**64), [F(1, 3)] * 8)
+@settings(max_examples=200, deadline=2000)
+def test_integer_q_actions_equal_the_fraction_table(q, coeffs):
+    r, ref, p = QLattice(q), _TableQLattice(q), FockVector(coeffs)
+    _same(r.act_a(p), ref.act_a(p))
+    try:
+        expected = ref.act_b(p)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            r.act_b(p)
+    else:
+        _same(r.act_b(p), expected)
+
+
+def _fraction_flag_matrix(u, r, n):
+    """The assembly that the integer columns replaced: per column the
+    term-by-term image (the ``Fraction`` table actions on a q-lattice, the
+    subtraction loop on a complex fiber), written into rows of
+    ``Fraction``s.  Returns the rows and the leakage map."""
+    if isinstance(r, ComplexFiber):
+        columns = _subtraction_fiber_matrix(u, r.m, n)
+    else:
+        acts = _TableQLattice(r.q) if isinstance(r, QLattice) else r
+        columns = [_per_term_apply(acts, u, FockVector.basis(k)).split(n) for k in range(n + 1)]
+    rows = [[F(0)] * (n + 1) for _ in range(n + 1)]
+    for k, (coords, _) in enumerate(columns):
+        for i, c in enumerate(coords):
+            rows[i][k] = c
+    leakage = {k: leak for k, (_, leak) in enumerate(columns) if not leak.is_zero}
+    return tuple(map(tuple, rows)), leakage
+
+
+all_realizations = st.one_of(
+    st.just(Differential()),
+    st.builds(DeltaLattice, st.one_of(nonzero_rationals(), huge_rationals.filter(bool))),
+    st.builds(QLattice, wide_qs),
+    st.builds(ComplexFiber, st.integers(0, 3)),
+)
+
+
+@given(weyl_elements(max_degree=3, max_terms=4), all_realizations, st.integers(0, 5))
+@example(HERMITE, QLattice(-1), 1)
+@example(HERMITE, QLattice(-1), 2)
+@example(jplus(3).element, QLattice(F(2**64 + 1, 2**64)), 3)
+@settings(max_examples=150, deadline=3000)
+def test_integer_flag_matrix_equals_the_fraction_assembly(u, r, n):
+    vanishing = [k for k in range(1, n + 1) if isinstance(r, QLattice) and not q_number(k, r.q)]
+    if vanishing:  # the span is refused before any action
+        with pytest.raises(ValueError, match=re.escape(f"{{{vanishing[0]}}}_q = 0")):
+            realize_matrix(u, r, n)
+        return
+    try:
+        rows, leakage = _fraction_flag_matrix(u, r, n)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            realize_matrix(u, r, n)
+        return
+    fm = realize_matrix(u, r, n)
+    assert fm.entries == rows and all(type(x) is F for row in fm.entries for x in row)
+    assert sorted(fm.leakage) == sorted(leakage)
+    for k, leak in leakage.items():
+        if isinstance(r, ComplexFiber):
+            _same_bipoly(fm.leakage[k], leak)
+        else:
+            _same(fm.leakage[k], _FractionVector(leak.coeffs))
+    assert char_poly(fm).coeffs == _fraction_char_poly(rows)
 
 
 def _fraction_primitive(coeffs):
