@@ -16,8 +16,11 @@ cases of the invariance scan, the Hermite q=1000/999 spectrum, whose
 eigenvector numerators have thousands of digits, and ops that reach the
 integer flag matrices and ``char_poly`` at n=64, at a negative and a
 large-height q, on a matrix that is not Hessenberg and on a refused
-q-lattice span.  ``--src`` picks the package source to import, so that
-two checkouts can be compared against the same op lists.
+q-lattice span, and ``isospectral`` ops on a q-lattice refused above the
+span, on a span that leaks and over three complex fibers at n=64.
+``--src`` picks the package source to import, so that two checkouts can
+be compared against the same op lists.  ``tests/test_output_digest.py``
+recomputes every line against ``tests/output_digests.txt``.
 """
 
 import argparse
@@ -56,6 +59,15 @@ EXTRA = [
     ["spectrum", "--expr", "b^2*(b*a-5)*(b*a-4) + b*a", "--n", "5"],
     # {2}_q = 0 at q = -1: the span is refused
     ["spectrum", "--op", "hermite", "--n", "3", "--realization", "q", "--q", "-1"],
+    # {2}_q = 0 at q = -1 above the span, met by the raising term of degree n + 1
+    ["isospectral", "--op", "sextic", "--bind", "alpha=1", "--bind", "beta=0", "--bind", "n=1",
+     "--n", "1", "--qs=-1"],
+    # a span that is not invariant: the leakage witness, exit 3
+    ["isospectral", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=4",
+     "--n", "5", "--deltas", "1", "--qs", "2", "--fibers", "0,1"],
+    # three complex fibers at the degree cap
+    ["isospectral", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=64",
+     "--n", "64", "--fibers", "0,1,2"],
 ]
 
 
@@ -89,15 +101,20 @@ def labelled_ops():
         yield f"extra {' '.join(argv)}", {"kind": "cli", "argv": argv}
 
 
+def digest_line(label, op):
+    """The output line of one labelled op."""
+    code, text = op_output(op)
+    digest = hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()
+    return f"{digest}  exit={code}  {label}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="package source to import")
     args = parser.parse_args()
     sys.path[:0] = [args.src, str(ROOT / "bench")]
     for label, op in labelled_ops():
-        code, text = op_output(op)
-        digest = hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()
-        print(f"{digest}  exit={code}  {label}", flush=True)
+        print(digest_line(label, op), flush=True)
 
 
 if __name__ == "__main__":
