@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -42,7 +42,7 @@ UniPoly = FockVector
 
 
 class SingularBasisError(Exception):
-    """Fiber basis failed its independence check (an implementation bug)."""
+    """A fiber's b-chain failed the Fock-module check (an implementation bug)."""
 
 
 class BiPoly:
@@ -67,9 +67,8 @@ class BiPoly:
             c = as_rational(c)
             if c:
                 rows += [[] for _ in range(p + 1 - len(rows))]
-                rows[p] += [Fraction(0)] * (q + 1 - len(rows[p]))
-                rows[p][q] += c
-        self._rows = BiPoly._of([UniPoly(row) for row in rows])._rows
+                rows[p].append((UniPoly.basis(q, c), 1))
+        self._rows = BiPoly._of([UniPoly.combination(row) for row in rows])._rows
 
     @staticmethod
     def _of(rows: list) -> "BiPoly":
@@ -163,11 +162,38 @@ def q_number(n: int, q: Rational) -> Rational:
 # ---------------------------------------------------------------------------
 
 
+def _is_k_times(v, w, k: int) -> bool:
+    """Whether ``v == k * w``, row by row on normalized numerators: ``k * w``
+    is ``w``'s numerators times ``k / g`` over ``den / g``, ``g = gcd(k, den)``."""
+    if isinstance(w, BiPoly):
+        pairs = zip(v._rows, w._rows)
+        return len(v._rows) == len(w._rows) and all(_is_k_times(x, y, k) for x, y in pairs)
+    g = gcd(k, w._den)
+    return v._den * g == w._den and v._nums == tuple(x * (k // g) for x in w._nums)
+
+
 class Realization:
     """A pair (a, b) with ``[a, b] = 1`` acting on a polynomial space.
 
     Subclasses define ``act_a``, ``act_b`` and ``label``.
     """
+
+    vacuum = UniPoly.one()  # the b-chain b^k|0> starts here
+
+    def fock_chain(self, u: WeylElement, n_max: int):
+        """``e_k = b^k vacuum`` by this realization's ``act_b``, up to ``n_max``
+        plus the largest raise ``i - j`` of ``u``; None unless ``a vacuum = 0``
+        and ``a e_k = k e_(k-1)`` for each ``k``, which make ``u``'s matrix on
+        the ``e_k`` (independent) the Fock flag matrix: the Fock module is unique."""
+        chain, top = [self.vacuum], n_max + max([0] + [i - j for i, j in u.terms])
+        try:  # a chain that cannot be formed, as at {k}_q = 0, fails too
+            ok = self.act_a(self.vacuum).is_zero
+            while ok and len(chain) <= top:
+                chain.append(self.act_b(chain[-1]))
+                ok = _is_k_times(self.act_a(chain[-1]), chain[-2], len(chain) - 1)
+        except (ValueError, ArithmeticError):
+            ok = False
+        return chain if ok else None
 
     def apply(self, u: WeylElement, p):
         """Image of ``p`` under ``u``: per term ``c*b^i*a^j`` the a-factors
@@ -230,16 +256,18 @@ class DeltaLattice(Realization):
         object.__setattr__(self, "delta", as_rational(self.delta))
         if not self.delta:
             raise ValueError("lattice spacing delta must be nonzero")
+        object.__setattr__(self, "_back", -self.delta)  # once, not per action
+        object.__setattr__(self, "_inverse", 1 / self.delta)
 
     @property
     def label(self) -> str:
         return f"delta={self.delta}"
 
     def act_a(self, p: UniPoly) -> UniPoly:
-        return (p.shifted(self.delta) - p).scale(1 / self.delta)
+        return (p.shifted(self.delta) - p).scale(self._inverse)
 
     def act_b(self, p: UniPoly) -> UniPoly:
-        return p.shifted(-self.delta).times_x()
+        return p.shifted(self._back).times_x()
 
 
 @dataclass(frozen=True)
@@ -309,6 +337,7 @@ class ComplexFiber(ComplexPlane):
     """The complex plane on the fiber basis ``{b^k(z^m)}`` over one vacuum."""
 
     m: int
+    vacuum = property(lambda self: BiPoly._of([UniPoly()] * self.m + [UniPoly.one()]))  # z^m
 
     @property
     def label(self) -> str:
@@ -346,35 +375,18 @@ def realize_matrix(u: WeylElement, r: Realization, n_max: int) -> FlagMatrix:
 
 
 def complex_fiber_matrix(u: WeylElement, m: int, n_max: int) -> FlagMatrix:
-    """Matrix of ``u`` on the fiber basis ``{b^k(z^m), k = 0..n_max}``.
-
-    Expanding ``b^k = (zbar - d/dz)^k`` shows the only monomial of ``b^k(z^m)``
-    with z-exponent ``m`` is ``z^m zbar^k``, with coefficient 1; coordinates
-    are read off those marker monomials and the residual left after
-    subtracting the span is the leakage (a BiPoly).
-    """
+    """Matrix of ``u`` on the fiber basis ``{e_k = b^k(z^m), k = 0..n_max}``.  Once
+    the chain passes :meth:`Realization.fock_chain` (else :class:`SingularBasisError`),
+    its columns are the Fock flag matrix F's and column k leaks ``sum_{l>n_max} F_lk e_l``."""
     if m < 0:
         raise ValueError("vacuum z-degree must be nonnegative")
-    basis = [BiPoly._of([UniPoly()] * m + [UniPoly.one()])]  # z^m
-    for _ in range(n_max):
-        basis.append(complex_act_b(basis[-1]))
-    for k, e in enumerate(basis):
-        if e._row(m)._cut(n_max)[0] != UniPoly.basis(k):
-            raise SingularBasisError(
-                f"fiber basis element {k} lost its marker monomial z^{m} zbar^{k}"
-            )
-    columns = []
-    for e in basis:
-        w = ComplexPlane().apply(u, e)
-        # the check above proves row m of basis[r] is exactly zbar^r on
-        # degrees 0..n_max, so subtracting it changes no other coordinate
-        # and all of them can be read off w before any subtraction
-        coords = w._row(m)._cut(n_max)[0]
-        residual = BiPoly.combination([(w, 1)] + [
-            (basis[r], Fraction(-x, coords._den)) for r, x in enumerate(coords._nums) if x
-        ])
-        columns.append((coords, residual))
-    return FlagMatrix.from_columns(columns)
+    fock, chain = flag_matrix(u, n_max, cap=n_max), ComplexFiber(m).fock_chain(u, n_max)
+    if chain is None:
+        raise SingularBasisError(f"fiber chain b^k(z^{m}) fails a e_k = k e_(k-1)")
+    return FlagMatrix(fock.columns, {
+        k: BiPoly.combination([(chain[l], c) for l, c in enumerate(leak.coeffs) if c])
+        for k, leak in fock.leakage.items()
+    })
 
 
 def quasi_monomial_change(delta: RationalLike, n_max: int) -> Tuple[Tuple[Rational, ...], ...]:

@@ -13,8 +13,8 @@ certified by an exact bracket of width at most ``tol`` (then
 Newton-polished in floats).  Durand-Kerner iteration finds complex pairs,
 certified by ``|p(z)| / (1 + max|coeff|)``.
 
-Cross-realization isospectrality is therefore a decidable, bit-exact
-equality of characteristic polynomials.
+Cross-realization isospectrality is proved, not recomputed: a realization
+whose b-chain passes the Fock-module check has the Fock flag matrix's polynomial.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
-from .weyl import FlagMatrix, Rational, WeylElement, as_rational, horner, taylor_shift_one
+from .realizations import ComplexFiber, ComplexPlane, Realization, UniPoly, realize_matrix
+from .weyl import FlagMatrix, Rational, WeylElement, as_rational, flag_matrix
+from .weyl import horner, taylor_shift_one
 
 Matrix = List[List[Rational]]
 
@@ -592,12 +593,21 @@ def isospectral_check(
     realizations: Sequence[Realization],
     fiber_ms: Sequence[int] = (0,),
 ) -> IsospectralReport:
-    """Compare characteristic polynomials bit-exactly across realizations,
-    always including the complex-plane fibers listed in ``fiber_ms``."""
+    """Compare characteristic polynomials across realizations and the complex-plane
+    fibers listed in ``fiber_ms``: the Fock flag matrix's, for each space whose
+    b-chain passes :meth:`Realization.fock_chain`, else the space's own."""
     # the complex plane enters once per vacuum listed in fiber_ms
     spaces = [r for r in realizations if r != ComplexPlane()]
     spaces += [ComplexPlane().fiber(m) for m in fiber_ms]
-    entries = [(s.label, char_poly(_invariant_matrix(u, s, n))) for s in spaces]
-    first = entries[0][1] if entries else None
-    all_equal = all(cp == first for _, cp in entries)
+    fock = flag_matrix(u, n, cap=n)
+    cp = None if fock.has_leakage else char_poly(fock)  # if F leaks, so does every space
+    entries = []
+    for s in spaces:
+        if isinstance(s, ComplexFiber):  # its columns are F's once its chain passes
+            same = _invariant_matrix(u, s, n).columns == fock.columns
+        else:  # the chain must also span the degree flag: e_k of degree k
+            chain = s.fock_chain(u, n) if cp is not None else None
+            same = chain is not None and [e.degree for e in chain] == list(range(len(chain)))
+        entries.append((s.label, cp if same else char_poly(_invariant_matrix(u, s, n))))
+    all_equal = all(p == entries[0][1] for _, p in entries)
     return IsospectralReport(degree=n, entries=tuple(entries), all_equal=all_equal)

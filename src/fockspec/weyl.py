@@ -114,16 +114,6 @@ class WeylElement:
 
     # -- basic structure ---------------------------------------------------
 
-    @property
-    def b_degree(self) -> int:
-        """Largest b-exponent, or -1 for the zero element."""
-        return max((i for i, _ in self._terms), default=-1)
-
-    @property
-    def a_degree(self) -> int:
-        """Largest a-exponent, or -1 for the zero element."""
-        return max((j for _, j in self._terms), default=-1)
-
     @classmethod
     def zero(cls) -> "WeylElement":
         return cls()

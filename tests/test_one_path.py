@@ -29,11 +29,16 @@ with back-substitution, and the normalization that followed it in
 the q-lattice acts on integer numerators and ``char_poly`` runs in
 integers; the ``Fraction`` rows of the assembly, the ``Fraction`` table of
 q-numbers and the ``Fraction`` similarity and recurrence stay the reference.
+``isospectral_check`` takes one characteristic polynomial, of the Fock flag
+matrix, and reports it for every space whose b-chain passes the Fock-module
+check; every space assembled and its own polynomial taken stays the
+reference, and mutant realizations must fall back to it or raise.
 """
 
+import io
 import re
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction as F
 from math import comb, factorial, gcd, isqrt, lcm
 from unittest import mock
@@ -50,13 +55,15 @@ from fockspec.realizations import (
     Differential,
     QLattice,
     Realization,
+    SingularBasisError,
     complex_act_a,
     complex_act_b,
     complex_fiber_matrix,
     q_number,
+    quasi_monomial_change,
     realize_matrix,
 )
-from fockspec import solvability
+from fockspec import cli, solvability
 from fockspec.opdsl import lower, parse
 from fockspec.solvability import (
     QESCoeffs,
@@ -71,12 +78,14 @@ from fockspec import spectra
 from fockspec.spectra import (
     CharPoly,
     Eigenvalue,
+    LeakageError,
     NonConvergenceError,
     _isolate_real_roots,
     _primitive,
     _sign_at,
     char_poly,
     eigenvector,
+    isospectral_check,
     nullspace,
     restrict,
     roots,
@@ -1305,3 +1314,208 @@ def test_lattice_nullspace_equals_the_row_echelon_basis(index, j, coeffs):
     basis = nullspace(singular)
     assert basis
     _same_basis(basis, _row_echelon_nullspace(singular))
+
+
+# -- isospectrality by the Fock-module certificate ---------------------------------
+
+
+def _assembled_isospectral(u, n, realizations, fiber_ms):
+    """The comparison the certificate replaced: every space assembled (a
+    univariate one by ``realize_matrix``, a fiber by the subtraction loop)
+    and its own characteristic polynomial taken, the first leakage raised."""
+    entries = []
+    for r in [*realizations, *map(ComplexFiber, fiber_ms)]:
+        if isinstance(r, ComplexFiber):
+            rows, leakage = _fraction_flag_matrix(u, r, n)
+        else:
+            fm = realize_matrix(u, r, n)
+            rows, leakage = fm.entries, fm.leakage
+        if leakage:
+            raise LeakageError(min(leakage), leakage[min(leakage)])
+        entries.append((r.label, char_poly([list(row) for row in rows])))
+    return tuple(entries)
+
+
+def _same_isospectral_outcome(u, n, realizations, fiber_ms=()):
+    """``isospectral_check`` gives the reference's report, or raises its
+    error with the same message (and the same leakage witness)."""
+    try:
+        expected = _assembled_isospectral(u, n, realizations, fiber_ms)
+    except LeakageError as e:
+        with pytest.raises(LeakageError) as got:
+            isospectral_check(u, n, realizations, fiber_ms)
+        assert got.value.column == e.column
+        if isinstance(e.overflow, FockVector):
+            _same(got.value.overflow, _FractionVector(e.overflow.coeffs))
+        else:
+            _same_bipoly(got.value.overflow, e.overflow)
+        return
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            isospectral_check(u, n, realizations, fiber_ms)
+        return
+    report = isospectral_check(u, n, realizations, fiber_ms)
+    assert report.degree == n and report.entries == expected
+    assert all(type(cp) is CharPoly for _, cp in report.entries)
+    assert report.all_equal == all(cp == expected[0][1] for _, cp in expected)
+
+
+@st.composite
+def isospectral_cases(draw):
+    """An element and a degree n: a random element (it leaks almost
+    everywhere), its ES part (never leaks), or that plus ``b^2*a - n*b``
+    (invariant at n, raising one degree above it)."""
+    u, n = draw(weyl_elements(max_degree=3)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["random", "es", "qes"]))
+    if kind == "random":
+        return u, n
+    return _es_part(u) + (jplus(n).element if kind == "qes" else WeylElement()), n
+
+
+SEXTIC_Q_MINUS_ONE = (sextic(1, 0, 1).element, 1, [Differential(), QLattice(-1)])
+
+
+@given(isospectral_cases(), st.lists(all_realizations, min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), max_size=2))
+@example((HERMITE, 5), [Differential(), DeltaLattice(F(2**64 - 1, 2**63)),
+                        QLattice(F(-(2**64), 3))], [0, 2])
+@example((HERMITE, 2), [QLattice(-1)], [])  # the span is refused
+@example((HERMITE, 1), [QLattice(-1), Differential()], [0])
+@example(SEXTIC_Q_MINUS_ONE[:2], SEXTIC_Q_MINUS_ONE[2], [])  # {2}_q = 0 above n
+@example((lame(2, 1, 4).element, 4), [QLattice(F(2**64 + 1, 2**64)), DeltaLattice(F(1, 3))], [1])
+@example((lame(2, 1, 4).element, 5), [ComplexFiber(1), Differential()], [])  # a fiber leaks
+@settings(max_examples=150, deadline=3000)
+def test_certified_isospectral_report_equals_every_space_assembled(case, realizations, fiber_ms):
+    u, n = case
+    _same_isospectral_outcome(u, n, realizations, fiber_ms)
+
+
+def _fock_chain_change(r, n):
+    """Columns ``e_0 .. e_n`` of the b-chain in monomials, by definition:
+    ``x (x - d) ... (x - (k-1) d)`` for a uniform lattice, and
+    ``k! / ({1}_q ... {k}_q) x^k`` for an exponential one."""
+    if isinstance(r, DeltaLattice):
+        return quasi_monomial_change(r.delta, n)
+    diag, c = [], F(1)
+    for k in range(n + 1):
+        c = c * k / q_number(k, r.q) if k else c
+        diag.append(c)
+    return tuple(tuple(diag[i] if i == k else F(0) for k in range(n + 1)) for i in range(n + 1))
+
+
+def _matmul(a, b):
+    return [[sum((x * b[t][j] for t, x in enumerate(row)), F(0)) for j in range(len(b[0]))]
+            for row in a]
+
+
+@given(isospectral_cases().filter(lambda case: case[0] == _es_part(case[0]) or case[1] > 0),
+       st.one_of(st.builds(DeltaLattice, st.one_of(nonzero_rationals(), huge_rationals.filter(bool))),
+                 st.builds(QLattice, wide_qs.filter(lambda q: q != -1))))
+@example((lame(2, 1, 4).element, 4), DeltaLattice(F(2**64 - 1, 2**63)))
+@example((lame(2, 1, 4).element, 4), QLattice(F(-(2**64), 3)))
+@settings(max_examples=100, deadline=3000)
+def test_lattice_matrix_intertwines_the_fock_flag_matrix(case, r):
+    u, n = case
+    fock = flag_matrix(u, n, cap=n)
+    if fock.has_leakage:
+        return
+    t = _fock_chain_change(r, n)
+    m = restrict(u, r, n)
+    assert _matmul(m, t) == _matmul(t, fock.to_rows())
+    chain = r.fock_chain(u, n)
+    assert [list(e.coeffs) + [F(0)] * (n - e.degree) for e in chain[:n + 1]] == [
+        list(col) for col in zip(*t)
+    ]
+
+
+def _mutant(r, kind):
+    """``r`` with a wrong ``act_a`` factor at degree 3, an ``act_a`` that does
+    not kill the vacuum, or an ``act_b`` that drops a chain step (two raises)
+    at degree 2.  (The differential matrix is
+    the Fock action itself, which reads neither generator.)"""
+    base = type(r)
+
+    class Mutant(base):
+        def act_a(self, p):
+            out = base.act_a(self, p)
+            if kind == "vacuum":
+                return out + FockVector.basis(0, p[0])
+            return out.scale(2) if kind == "factor" and p.degree == 3 else out
+
+        def act_b(self, p):
+            out = base.act_b(self, p)
+            return base.act_b(self, out) if kind == "step" and p.degree == 2 else out
+
+    return Mutant(**{f.name: getattr(r, f.name) for f in fields(r)})
+
+
+@pytest.mark.parametrize("kind", ["factor", "vacuum", "step"])
+@pytest.mark.parametrize("r", [DeltaLattice(F(1, 3)), QLattice(F(-1, 2))], ids=["delta", "q"])
+@pytest.mark.parametrize("u, n", [(HERMITE, 4), (lame(2, 1, 4).element, 4)], ids=["es", "qes"])
+def test_a_mutant_realization_falls_back_or_raises(kind, r, u, n):
+    mutant = _mutant(r, kind)
+    assert mutant.fock_chain(u, n) is None
+    _same_isospectral_outcome(u, n, [Differential(), mutant])
+    try:
+        report = isospectral_check(u, n, [Differential(), mutant])
+    except LeakageError:
+        return
+    assert not report.all_equal  # the mutant's own polynomial, not F's
+
+
+@dataclass(frozen=True)
+class _SquareChain(Realization):
+    """``b = x^2`` and ``a x^n = (n/2) x^(n-2)``: the chain ``x^(2k)`` passes
+    the Fock-module check but leaves the degree flag."""
+
+    label = "square"
+
+    def act_a(self, p):
+        return FockVector([c * F(n, 2) for n, c in enumerate(p.coeffs)][2:])
+
+    def act_b(self, p):
+        return p.times_x().times_x()
+
+
+def test_a_chain_outside_the_degree_flag_falls_back():
+    r = _SquareChain()
+    assert [e.degree for e in r.fock_chain(HERMITE, 4)] == [0, 2, 4, 6, 8]
+    _same_isospectral_outcome(HERMITE, 4, [Differential(), r])
+    assert not isospectral_check(HERMITE, 4, [Differential(), r]).all_equal
+
+
+def test_a_fiber_chain_that_drops_a_step_raises():
+    def dropping_act_b(f):
+        out = complex_act_b(f)
+        return complex_act_b(out) if f._row(0).degree == 2 else out
+
+    with mock.patch.object(ComplexFiber, "act_b", staticmethod(dropping_act_b)):
+        with pytest.raises(SingularBasisError, match=re.escape("fiber chain b^k(z^0)")):
+            complex_fiber_matrix(HERMITE, 0, 4)
+
+
+SEXTIC_Q_MINUS_ONE_ARGV = ["isospectral", "--op", "sextic", "--bind", "alpha=1", "--bind", "beta=0",
+                           "--bind", "n=1", "--n", "1", "--qs=-1"]
+
+
+def test_the_chain_reaches_every_degree_a_raising_term_reaches():
+    # b^3 takes x^0 past the span at n = 1, to x^2, where {2}_q = 0 for q = -1
+    out = io.StringIO()
+    assert cli.main(SEXTIC_Q_MINUS_ONE_ARGV, out=out) == 1
+    assert "raising action undefined: {2}_q = 0 for q = -1" in out.getvalue()
+    # a chain checked only up to n would certify the span and exit 0
+    chain = Realization.fock_chain
+    with mock.patch.object(Realization, "fock_chain", lambda r, u, n: chain(r, WeylElement(), n)):
+        assert cli.main(SEXTIC_Q_MINUS_ONE_ARGV, out=io.StringIO()) == 0
+
+
+def test_a_leaking_span_raises_the_first_space_own_witness():
+    u = lame(2, 1, 4).element
+    expected = realize_matrix(u, QLattice(2), 5)
+    with pytest.raises(LeakageError) as got:
+        isospectral_check(u, 5, [QLattice(2), Differential()])
+    col = min(expected.leakage)
+    assert got.value.column == col == 5
+    _same(got.value.overflow, _FractionVector(expected.leakage[col].coeffs))
+    assert got.value.overflow != flag_matrix(u, 5).leakage[col]  # not the Fock overflow
+    _same_isospectral_outcome(u, 5, [QLattice(2), Differential()])
