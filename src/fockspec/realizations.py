@@ -8,7 +8,7 @@ Four realizations of ``[a, b] = 1`` are provided:
 * ``ComplexPlane``:   a = d/dzbar,              b = -d/dz + zbar (on BiPoly)
 
 with ``{n}_q = 1 + q + ... + q^(n-1)``.  Each realization carries its own
-generator actions, label and matrix assembly.  The univariate realizations
+actions, label, matrix and Fock-module check of its b-chain.  The univariate realizations
 act on :class:`UniPoly` in the monomial basis; a polynomial is the Fock
 vector of its coefficients (``x^k`` for ``b^k|0>``), so ``UniPoly`` is
 :class:`~fockspec.weyl.FockVector`.  The complex plane acts on
@@ -191,7 +191,7 @@ class Realization:
             while ok and len(chain) <= top:
                 chain.append(self.act_b(chain[-1]))
                 ok = _is_k_times(self.act_a(chain[-1]), chain[-2], len(chain) - 1)
-        except (ValueError, ArithmeticError):
+        except ValueError:
             ok = False
         return chain if ok else None
 
