@@ -3,11 +3,12 @@
 
 Prints, for each operator at its invariant degree, the exact characteristic
 polynomial that ``isospectral_check`` reports for the differential, two
-uniform-lattice, two exponential-lattice and five complex-plane fiber
-matrices, plus the verdict that all of them coincide bit-exactly.  The
-report takes one polynomial and proves it for every space, so each space's
-matrix is also assembled here with ``restrict`` and its own polynomial
-taken; a space whose polynomial differs from the report prints ``DIFFER``.
+uniform-lattice, two exponential-lattice and five complex-plane spaces
+(vacua z^0 .. z^4), plus the verdict that all of them coincide bit-exactly.
+The report takes one polynomial and proves it for every space, so each
+space's matrix is also assembled here with ``restrict`` and its own
+polynomial taken; a space whose polynomial differs from the report prints
+``DIFFER``.
 """
 
 from fractions import Fraction as F
@@ -16,14 +17,14 @@ from fockspec.catalog import hermite, laguerre, lame, sextic
 from fockspec.realizations import ComplexPlane, DeltaLattice, Differential, QLattice
 from fockspec.spectra import char_poly, isospectral_check, restrict, roots
 
-REALIZATIONS = [
+SPACES = [
     Differential(),
     DeltaLattice(1),
     DeltaLattice(F(1, 3)),
     QLattice(2),
     QLattice(F(1, 2)),
+    *map(ComplexPlane, range(5)),
 ]
-FIBERS = range(5)
 
 CASES = [
     (hermite(), 5),
@@ -36,7 +37,7 @@ CASES = [
 
 
 def describe(spec, n):
-    report = isospectral_check(spec.element, n, REALIZATIONS, fiber_ms=FIBERS)
+    report = isospectral_check(spec.element, n, SPACES)
     params = ", ".join(f"{k}={v}" for k, v in spec.params.items())
     label = f"{spec.name}({params})" if params else spec.name
     print(f"{label}  degree n = {n}")
@@ -46,8 +47,7 @@ def describe(spec, n):
             print(f"    eigenvalue {ev.exact} (exact)")
         else:
             print(f"    eigenvalue {ev.re:+.12f}{ev.im:+.12f}j  residual {ev.residual:.2e}")
-    spaces = REALIZATIONS + [ComplexPlane().fiber(m) for m in FIBERS]
-    for space, (label, cp) in zip(spaces, report.entries):
+    for space, (label, cp) in zip(SPACES, report.entries):
         if space.label != label or char_poly(restrict(spec.element, space, n)) != cp:
             print(f"  {space.label}: assembled char poly DIFFER from the report's {label}")
     verdict = "identical" if report.all_equal else "DIFFER"

@@ -173,7 +173,7 @@ def _realization_from_args(args, config: RunConfig) -> Realization:
     if kind == "q":
         return QLattice(_rat(args.q))
     if kind == "complex":
-        return ComplexPlane().fiber(args.fiber_m)
+        return ComplexPlane(args.fiber_m)
     raise CliError(f"unknown realization {kind!r}", EXIT_USAGE)
 
 
@@ -277,7 +277,8 @@ def _cmd_isospectral(args, config: RunConfig) -> Tuple[Dict, Dict]:
     realizations: List[Realization] = [Differential()]
     realizations += [DeltaLattice(d) for d in config.deltas]
     realizations += [QLattice(q) for q in config.qs]
-    report = isospectral_check(element, args.n, realizations, fiber_ms=config.fibers)
+    realizations += [ComplexPlane(m) for m in config.fibers]
+    report = isospectral_check(element, args.n, realizations)
     result = {
         "degree": report.degree,
         "char_polys": [{"realization": label, **_char_poly_json(cp)} for label, cp in report.entries],

@@ -13,10 +13,11 @@ act on :class:`UniPoly` in the monomial basis; a polynomial is the Fock
 vector of its coefficients (``x^k`` for ``b^k|0>``), so ``UniPoly`` is
 :class:`~fockspec.weyl.FockVector`.  The complex plane acts on
 :class:`BiPoly`, whose rows (one zbar-polynomial per power of z) are that
-same type, and is exposed only through fiber matrices over a vacuum
-``z^m``.  Every image is one linear combination of the actions it needs.
-Everything is exact: each action maps integer numerators over a common
-denominator to the same form, in which matrix columns stay.
+same type; ``ComplexPlane(m)`` is the space spanned by ``b^k(z^m)`` over
+the vacuum ``z^m``, one per ``m``.  Every image is one linear combination
+of the actions it needs.  Everything is exact: each action maps integer
+numerators over a common denominator to the same form, in which matrix
+columns stay.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ UniPoly = FockVector
 
 
 class SingularBasisError(Exception):
-    """A fiber's b-chain failed the Fock-module check (an implementation bug)."""
+    """A complex space's b-chain failed the Fock-module check (an implementation bug)."""
 
 
 class BiPoly:
@@ -222,11 +223,6 @@ class Realization:
             [self.apply(u, UniPoly.basis(k))._cut(n_max) for k in range(n_max + 1)]
         )
 
-    def fiber(self, m: int) -> "Realization":
-        """The space a spectrum is taken on; only the complex plane has one
-        per vacuum ``z^m``."""
-        return self
-
 
 @dataclass(frozen=True)
 class Differential(Realization):
@@ -319,24 +315,11 @@ class QLattice(Realization):
 
 @dataclass(frozen=True)
 class ComplexPlane(Realization):
-    """a = d/dzbar, b = -d/dz + zbar, acting on BiPoly."""
+    """a = d/dzbar, b = -d/dz + zbar, acting on BiPoly, with the vacuum ``z^m``."""
 
-    label = "complex"
+    m: int = 0
     act_a = staticmethod(complex_act_a)
     act_b = staticmethod(complex_act_b)
-
-    def matrix(self, u: WeylElement, n_max: int) -> FlagMatrix:
-        raise TypeError("use complex_fiber_matrix for the complex-plane realization")
-
-    def fiber(self, m: int) -> "ComplexFiber":
-        return ComplexFiber(m)
-
-
-@dataclass(frozen=True)
-class ComplexFiber(ComplexPlane):
-    """The complex plane on the fiber basis ``{b^k(z^m)}`` over one vacuum."""
-
-    m: int
     vacuum = property(lambda self: BiPoly._of([UniPoly()] * self.m + [UniPoly.one()]))  # z^m
 
     @property
@@ -345,9 +328,6 @@ class ComplexFiber(ComplexPlane):
 
     def matrix(self, u: WeylElement, n_max: int) -> FlagMatrix:
         return complex_fiber_matrix(u, self.m, n_max)
-
-    def fiber(self, m: int) -> "ComplexFiber":
-        return self
 
 
 def act_a(r: Realization, p: UniPoly) -> UniPoly:
@@ -380,7 +360,7 @@ def complex_fiber_matrix(u: WeylElement, m: int, n_max: int) -> FlagMatrix:
     its columns are the Fock flag matrix F's and column k leaks ``sum_{l>n_max} F_lk e_l``."""
     if m < 0:
         raise ValueError("vacuum z-degree must be nonnegative")
-    fock, chain = flag_matrix(u, n_max, cap=n_max), ComplexFiber(m).fock_chain(u, n_max)
+    fock, chain = flag_matrix(u, n_max, cap=n_max), ComplexPlane(m).fock_chain(u, n_max)
     if chain is None:
         raise SingularBasisError(f"fiber chain b^k(z^{m}) fails a e_k = k e_(k-1)")
     return FlagMatrix(fock.columns, {

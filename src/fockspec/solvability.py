@@ -75,7 +75,7 @@ class QESCoeffs:
         for f in fields(self):
             object.__setattr__(self, f.name, as_rational(getattr(self, f.name)))
 
-    def element(self, cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:
+    def element(self) -> WeylElement:
         """The normal-ordered element with these coefficients."""
         return WeylElement({key: getattr(self, name) for name, key in QES_TERMS.items()})
 

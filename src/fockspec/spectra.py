@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .realizations import ComplexFiber, ComplexPlane, Realization, UniPoly, realize_matrix
+from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
 from .weyl import FlagMatrix, Rational, WeylElement, as_rational, flag_matrix
 from .weyl import horner, taylor_shift_one
 
@@ -67,13 +67,14 @@ def _invariant_matrix(u: WeylElement, r: Realization, n: int) -> FlagMatrix:
     return fm
 
 
-def restrict(u: WeylElement, r: Realization, n: int, fiber_m: int = 0) -> Matrix:
-    """The (n+1)x(n+1) matrix of ``u`` on the degree-n span of ``r``.
+def restrict(u: WeylElement, r: Realization, n: int) -> Matrix:
+    """The (n+1)x(n+1) matrix of ``u`` on the degree-n span of ``r`` (for
+    ``ComplexPlane(m)``, the span of ``b^k(z^m)``, k <= n).
 
     Raises :class:`LeakageError` (with the witness column and overflow) if
     the span is not invariant.
     """
-    return _invariant_matrix(u, r.fiber(fiber_m), n).to_rows()
+    return _invariant_matrix(u, r, n).to_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +555,10 @@ def spectrum(
     operator_label: str = "",
     tol: float = DEFAULT_ROOT_TOL,
     iter_cap: int = DEFAULT_ITER_CAP,
-    fiber_m: int = 0,
 ) -> Spectrum:
-    """Restrict, solve and pair eigenvalues with eigenvector coefficients."""
-    matrix = restrict(u, r, n, fiber_m=fiber_m)
+    """Restrict to the degree-n span of ``r`` (see :func:`restrict`), solve and
+    pair eigenvalues with eigenvector coefficients."""
+    matrix = restrict(u, r, n)
     cp = char_poly(matrix)
     evs = roots(cp, tol=tol, iter_cap=iter_cap)
     pairs = []
@@ -571,7 +572,7 @@ def spectrum(
             pairs.append((ev, vec))
     return Spectrum(
         operator=operator_label,
-        realization=r.fiber(fiber_m).label,
+        realization=r.label,
         degree=n,
         char_poly=cp,
         eigenpairs=tuple(pairs),
@@ -591,19 +592,15 @@ def isospectral_check(
     u: WeylElement,
     n: int,
     realizations: Sequence[Realization],
-    fiber_ms: Sequence[int] = (0,),
 ) -> IsospectralReport:
-    """Compare characteristic polynomials across realizations and the complex-plane
-    fibers listed in ``fiber_ms``: the Fock flag matrix's, for each space whose
-    b-chain passes :meth:`Realization.fock_chain`, else the space's own."""
-    # the complex plane enters once per vacuum listed in fiber_ms
-    spaces = [r for r in realizations if r != ComplexPlane()]
-    spaces += [ComplexPlane().fiber(m) for m in fiber_ms]
+    """Compare characteristic polynomials across the listed spaces, in their
+    order: the Fock flag matrix's, for each space whose b-chain passes
+    :meth:`Realization.fock_chain`, else the space's own."""
     fock = flag_matrix(u, n, cap=n)
     cp = None if fock.has_leakage else char_poly(fock)  # if F leaks, so does every space
     entries = []
-    for s in spaces:
-        if isinstance(s, ComplexFiber):  # its columns are F's once its chain passes
+    for s in realizations:
+        if isinstance(s, ComplexPlane):  # its columns are F's once its chain passes
             same = _invariant_matrix(u, s, n).columns == fock.columns
         else:  # the chain must also span the degree flag: e_k of degree k
             chain = s.fock_chain(u, n) if cp is not None else None

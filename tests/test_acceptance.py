@@ -29,6 +29,7 @@ from fockspec.catalog import (
 from fockspec.cli import main as cli_main
 from fockspec.opdsl import lower, parse, print_canonical
 from fockspec.realizations import (
+    ComplexPlane,
     DeltaLattice,
     Differential,
     QLattice,
@@ -184,7 +185,7 @@ def test_criterion_06_lame():
         assert abs(evs[1].re - target) <= 1e-12
         assert lame_elliptic_invariants(2, 1) == (36, 40)
         report = isospectral_check(
-            lame(2, 1, 3).element, 3, UNIVARIATE, fiber_ms=(0, 1, 2, 3, 4)
+            lame(2, 1, 3).element, 3, UNIVARIATE + [ComplexPlane(m) for m in range(5)]
         )
         assert report.all_equal
         assert len(report.entries) == 10
@@ -201,7 +202,7 @@ def test_criterion_07_sextic():
         assert abs(evs[0].re + target) <= 1e-12
         assert abs(evs[1].re - target) <= 1e-12
         assert all(abs(cp.eval_complex(complex(e.re, e.im))) <= 1e-10 for e in evs)
-        report = isospectral_check(sextic(1, 0, 2).element, 2, UNIVARIATE)
+        report = isospectral_check(sextic(1, 0, 2).element, 2, [*UNIVARIATE, ComplexPlane()])
         assert report.all_equal
         assert report.entries[0][1].degree == 3
         n2 = roots(report.entries[0][1])

@@ -45,7 +45,7 @@ def test_number_flag_is_diagonal():
 
 def test_number_fiber_matches_landau_levels():
     for m in range(3):
-        sp = restrict(number().element, ComplexPlane(), 4, fiber_m=m)
+        sp = restrict(number().element, ComplexPlane(m), 4)
         assert [sp[k][k] for k in range(5)] == list(range(5))
 
 

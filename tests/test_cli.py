@@ -430,6 +430,32 @@ def test_negative_degree_exits_1(argv):
     assert "nonnegative" in payload["diagnostics"][0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--expr", "b*a", "--n", "2", "--realization", "complex", "--fiber-m", "-1"],
+        ["isospectral", "--op", "hermite", "--n", "2", "--fibers=-1"],
+    ],
+    ids=["spectrum", "isospectral"],
+)
+def test_negative_vacuum_exits_1(argv):
+    code, payload = run_json(*argv)
+    assert code == 1
+    assert payload["diagnostics"] == ["vacuum z-degree must be nonnegative"]
+
+
+def test_negative_vacuum_after_a_leaking_space_exits_3():
+    # the vacuum is checked when its matrix is assembled, after the
+    # differential span has already leaked
+    code, payload = run_json(
+        "isospectral", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=4",
+        "--n", "5", "--fibers=-1",
+    )
+    assert code == 3
+    assert payload["diagnostics"] == ["column 5 leaks out of the requested span"]
+    assert payload["result"]["leakage"]["column"] == 5
+
+
 def test_unknown_config_key_exits_1(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("degree-cap = 3\ntol = 1e-10\n")

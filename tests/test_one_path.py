@@ -50,7 +50,7 @@ import hypothesis.strategies as st
 from fockspec.catalog import hermite, jplus, laguerre, lame, sextic
 from fockspec.realizations import (
     BiPoly,
-    ComplexFiber,
+    ComplexPlane,
     DeltaLattice,
     Differential,
     QLattice,
@@ -362,7 +362,7 @@ realizations = st.one_of(
     st.builds(DeltaLattice, nonzero_rationals()),
     # q = -1 leaves the raising action undefined on odd degrees
     st.builds(QLattice, st.one_of(st.just(F(-1)), nonzero_rationals().filter(lambda q: q != 1))),
-    st.builds(ComplexFiber, st.integers(0, 3)),
+    st.builds(ComplexPlane, st.integers(0, 3)),
 )
 
 
@@ -948,7 +948,7 @@ def _fraction_flag_matrix(u, r, n):
     term-by-term image (the ``Fraction`` table actions on a q-lattice, the
     subtraction loop on a complex fiber), written into rows of
     ``Fraction``s.  Returns the rows and the leakage map."""
-    if isinstance(r, ComplexFiber):
+    if isinstance(r, ComplexPlane):
         columns = _subtraction_fiber_matrix(u, r.m, n)
     else:
         acts = _TableQLattice(r.q) if isinstance(r, QLattice) else r
@@ -965,7 +965,7 @@ all_realizations = st.one_of(
     st.just(Differential()),
     st.builds(DeltaLattice, st.one_of(nonzero_rationals(), huge_rationals.filter(bool))),
     st.builds(QLattice, wide_qs),
-    st.builds(ComplexFiber, st.integers(0, 3)),
+    st.builds(ComplexPlane, st.integers(0, 3)),
 )
 
 
@@ -990,7 +990,7 @@ def test_integer_flag_matrix_equals_the_fraction_assembly(u, r, n):
     assert fm.entries == rows and all(type(x) is F for row in fm.entries for x in row)
     assert sorted(fm.leakage) == sorted(leakage)
     for k, leak in leakage.items():
-        if isinstance(r, ComplexFiber):
+        if isinstance(r, ComplexPlane):
             _same_bipoly(fm.leakage[k], leak)
         else:
             _same(fm.leakage[k], _FractionVector(leak.coeffs))
@@ -1319,13 +1319,13 @@ def test_lattice_nullspace_equals_the_row_echelon_basis(index, j, coeffs):
 # -- isospectrality by the Fock-module certificate ---------------------------------
 
 
-def _assembled_isospectral(u, n, realizations, fiber_ms):
+def _assembled_isospectral(u, n, realizations):
     """The comparison the certificate replaced: every space assembled (a
     univariate one by ``realize_matrix``, a fiber by the subtraction loop)
     and its own characteristic polynomial taken, the first leakage raised."""
     entries = []
-    for r in [*realizations, *map(ComplexFiber, fiber_ms)]:
-        if isinstance(r, ComplexFiber):
+    for r in realizations:
+        if isinstance(r, ComplexPlane):
             rows, leakage = _fraction_flag_matrix(u, r, n)
         else:
             fm = realize_matrix(u, r, n)
@@ -1336,14 +1336,14 @@ def _assembled_isospectral(u, n, realizations, fiber_ms):
     return tuple(entries)
 
 
-def _same_isospectral_outcome(u, n, realizations, fiber_ms=()):
+def _same_isospectral_outcome(u, n, realizations):
     """``isospectral_check`` gives the reference's report, or raises its
     error with the same message (and the same leakage witness)."""
     try:
-        expected = _assembled_isospectral(u, n, realizations, fiber_ms)
+        expected = _assembled_isospectral(u, n, realizations)
     except LeakageError as e:
         with pytest.raises(LeakageError) as got:
-            isospectral_check(u, n, realizations, fiber_ms)
+            isospectral_check(u, n, realizations)
         assert got.value.column == e.column
         if isinstance(e.overflow, FockVector):
             _same(got.value.overflow, _FractionVector(e.overflow.coeffs))
@@ -1352,9 +1352,9 @@ def _same_isospectral_outcome(u, n, realizations, fiber_ms=()):
         return
     except ValueError as e:
         with pytest.raises(ValueError, match=re.escape(str(e))):
-            isospectral_check(u, n, realizations, fiber_ms)
+            isospectral_check(u, n, realizations)
         return
-    report = isospectral_check(u, n, realizations, fiber_ms)
+    report = isospectral_check(u, n, realizations)
     assert report.degree == n and report.entries == expected
     assert all(type(cp) is CharPoly for _, cp in report.entries)
     assert report.all_equal == all(cp == expected[0][1] for _, cp in expected)
@@ -1383,11 +1383,11 @@ SEXTIC_Q_MINUS_ONE = (sextic(1, 0, 1).element, 1, [Differential(), QLattice(-1)]
 @example((HERMITE, 1), [QLattice(-1), Differential()], [0])
 @example(SEXTIC_Q_MINUS_ONE[:2], SEXTIC_Q_MINUS_ONE[2], [])  # {2}_q = 0 above n
 @example((lame(2, 1, 4).element, 4), [QLattice(F(2**64 + 1, 2**64)), DeltaLattice(F(1, 3))], [1])
-@example((lame(2, 1, 4).element, 5), [ComplexFiber(1), Differential()], [])  # a fiber leaks
+@example((lame(2, 1, 4).element, 5), [ComplexPlane(1), Differential()], [])  # a fiber leaks
 @settings(max_examples=150, deadline=3000)
 def test_certified_isospectral_report_equals_every_space_assembled(case, realizations, fiber_ms):
     u, n = case
-    _same_isospectral_outcome(u, n, realizations, fiber_ms)
+    _same_isospectral_outcome(u, n, [*realizations, *map(ComplexPlane, fiber_ms)])
 
 
 def _fock_chain_change(r, n):
@@ -1457,7 +1457,7 @@ def test_a_mutant_realization_falls_back_or_raises(kind, r, u, n):
     assert mutant.fock_chain(u, n) is None
     _same_isospectral_outcome(u, n, [Differential(), mutant])
     try:
-        report = isospectral_check(u, n, [Differential(), mutant])
+        report = isospectral_check(u, n, [Differential(), mutant, ComplexPlane()])
     except LeakageError:
         return
     assert not report.all_equal  # the mutant's own polynomial, not F's
@@ -1481,7 +1481,7 @@ def test_a_chain_outside_the_degree_flag_falls_back():
     r = _SquareChain()
     assert [e.degree for e in r.fock_chain(HERMITE, 4)] == [0, 2, 4, 6, 8]
     _same_isospectral_outcome(HERMITE, 4, [Differential(), r])
-    assert not isospectral_check(HERMITE, 4, [Differential(), r]).all_equal
+    assert not isospectral_check(HERMITE, 4, [Differential(), r, ComplexPlane()]).all_equal
 
 
 def test_a_fiber_chain_that_drops_a_step_raises():
@@ -1489,7 +1489,7 @@ def test_a_fiber_chain_that_drops_a_step_raises():
         out = complex_act_b(f)
         return complex_act_b(out) if f._row(0).degree == 2 else out
 
-    with mock.patch.object(ComplexFiber, "act_b", staticmethod(dropping_act_b)):
+    with mock.patch.object(ComplexPlane, "act_b", staticmethod(dropping_act_b)):
         with pytest.raises(SingularBasisError, match=re.escape("fiber chain b^k(z^0)")):
             complex_fiber_matrix(HERMITE, 0, 4)
 
@@ -1513,7 +1513,7 @@ def test_a_leaking_span_raises_the_first_space_own_witness():
     u = lame(2, 1, 4).element
     expected = realize_matrix(u, QLattice(2), 5)
     with pytest.raises(LeakageError) as got:
-        isospectral_check(u, 5, [QLattice(2), Differential()])
+        isospectral_check(u, 5, [QLattice(2), Differential(), ComplexPlane()])
     col = min(expected.leakage)
     assert got.value.column == col == 5
     _same(got.value.overflow, _FractionVector(expected.leakage[col].coeffs))

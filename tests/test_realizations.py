@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from fockspec.catalog import hermite, laguerre, lame, sextic
 from fockspec.realizations import (
     BiPoly,
+    ComplexPlane,
     DeltaLattice,
     Differential,
     QLattice,
@@ -21,7 +23,7 @@ from fockspec.realizations import (
     quasi_monomial_change,
     realize_matrix,
 )
-from fockspec.spectra import char_poly
+from fockspec.spectra import char_poly, restrict
 from fockspec.weyl import flag_matrix, make, multiply
 
 from exact_matrix import mat_mul
@@ -207,6 +209,21 @@ def test_fiber_leakage_is_a_bipoly_witness():
     fm = complex_fiber_matrix(B, 0, 1)
     assert set(fm.leakage) == {1}
     assert isinstance(fm.leakage[1], BiPoly)
+
+
+CATALOG_CASES = [
+    (hermite(), 4), (laguerre(F(3, 2)), 4), (lame(2, 1, 3), 3), (sextic(1, 1, 2), 2),
+]
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_complex_plane_is_one_space_per_vacuum(m):
+    plane = ComplexPlane(m)
+    assert plane.label == f"complex m={m}"
+    assert plane.vacuum == BiPoly.monomial(m, 0)
+    for spec, n in CATALOG_CASES:
+        assert realize_matrix(spec.element, plane, n) == complex_fiber_matrix(spec.element, m, n)
+        assert restrict(spec.element, plane, n) == restrict(spec.element, Differential(), n)
 
 
 # -- quasi-monomial change of basis -------------------------------------------

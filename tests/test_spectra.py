@@ -375,7 +375,7 @@ def test_spectrum_object_for_hermite():
 
 
 def test_spectrum_on_complex_fiber():
-    sp = spectrum(number().element, 3, ComplexPlane(), fiber_m=2)
+    sp = spectrum(number().element, 3, ComplexPlane(2))
     assert [ev.exact for ev, _ in sp.eigenpairs] == [0, 1, 2, 3]
     assert sp.realization == "complex m=2"
 
@@ -384,7 +384,7 @@ def test_spectrum_on_complex_fiber():
 
 
 def test_hermite_isospectral_everywhere():
-    report = isospectral_check(HERMITE, 5, ALL_UNIVARIATE)
+    report = isospectral_check(HERMITE, 5, [*ALL_UNIVARIATE, ComplexPlane()])
     assert report.all_equal
     expected = char_poly(restrict(HERMITE, Differential(), 5))
     assert all(cp == expected for _, cp in report.entries)
@@ -394,15 +394,25 @@ def test_hermite_isospectral_everywhere():
 
 def test_lame_isospectral():
     element = lame(2, 1, 3).element
-    report = isospectral_check(element, 3, ALL_UNIVARIATE, fiber_ms=(0, 1, 2))
+    report = isospectral_check(element, 3, ALL_UNIVARIATE + [ComplexPlane(m) for m in (0, 1, 2)])
     assert report.all_equal
     assert len(report.entries) == 8
     assert report.entries[0][1].degree == 4
 
 
+def test_isospectral_check_takes_its_spaces_as_listed():
+    # a listed complex plane is reported once, under its vacuum's label
+    report = isospectral_check(HERMITE, 3, [Differential(), ComplexPlane()])
+    assert [label for label, _ in report.entries] == ["differential", "complex m=0"]
+    assert report.all_equal
+    # and a list without one gets no complex entry
+    report = isospectral_check(HERMITE, 3, [Differential(), QLattice(2)])
+    assert [label for label, _ in report.entries] == ["differential", "q=2"]
+
+
 def test_sextic_isospectral():
     element = sextic(1, 1, 2).element
-    report = isospectral_check(element, 2, ALL_UNIVARIATE)
+    report = isospectral_check(element, 2, [*ALL_UNIVARIATE, ComplexPlane()])
     assert report.all_equal
     assert report.entries[0][1].degree == 3
 
@@ -423,7 +433,7 @@ def test_catalog_operators_isospectral_on_all_fibers():
         (sextic(1, 1, 2).element, 2),
     ]
     for element, n in cases:
-        report = isospectral_check(element, n, ALL_UNIVARIATE, fiber_ms=range(5))
+        report = isospectral_check(element, n, ALL_UNIVARIATE + [ComplexPlane(m) for m in range(5)])
         assert report.all_equal
         assert len(report.entries) == 10
 
@@ -461,4 +471,4 @@ def test_restrict_rejects_negative_degree():
     with pytest.raises(ValueError, match="nonnegative"):
         restrict(HERMITE, Differential(), -1)
     with pytest.raises(ValueError, match="nonnegative"):
-        isospectral_check(HERMITE, -1, ALL_UNIVARIATE)
+        isospectral_check(HERMITE, -1, [*ALL_UNIVARIATE, ComplexPlane()])
