@@ -279,9 +279,10 @@ def _cmd_isospectral(args, config: RunConfig) -> Tuple[Dict, Dict]:
     realizations += [QLattice(q) for q in config.qs]
     realizations += [ComplexPlane(m) for m in config.fibers]
     report = isospectral_check(element, args.n, realizations)
+    char_poly_json = functools.cache(_char_poly_json)  # once per distinct polynomial
     result = {
         "degree": report.degree,
-        "char_polys": [{"realization": label, **_char_poly_json(cp)} for label, cp in report.entries],
+        "char_polys": [{"realization": label, **char_poly_json(cp)} for label, cp in report.entries],
         "equal": report.all_equal,
     }
     return op_json, result

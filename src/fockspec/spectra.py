@@ -11,7 +11,9 @@ rule of signs on integer Taylor shifts isolates the real roots, rational
 ones are read off their exact intervals, and every other real root is
 certified by an exact bracket of width at most ``tol`` (then
 Newton-polished in floats).  Durand-Kerner iteration finds complex pairs,
-certified by ``|p(z)| / (1 + max|coeff|)``.
+certified by ``|p(z)| / (1 + max|coeff|)``.  Numeric eigenvectors come
+from banded inverse iteration in floats, each accepted by its backward
+error for the exact matrix, evaluated in integers.
 
 Cross-realization isospectrality is proved, not recomputed: a realization
 whose b-chain passes the Fock-module check has the Fock flag matrix's polynomial.
@@ -22,6 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
@@ -491,9 +496,11 @@ def eigenvector(
 
     Exact eigenvalues give the exact basis of :func:`nullspace`, whose
     vectors have 1 as their highest-index nonzero entry (leading polynomial
-    coefficient).  Numeric eigenvalues use inverse iteration and the unit
-    result is checked by its backward error,
-    ``||Mv - ev v|| <= 10 * tol * (1 + ||M||_F)``.
+    coefficient).  A numeric eigenvalue gives the first unit iterate of
+    inverse iteration from ``ones / sqrt(n)`` (floats, complex for a complex
+    pair) that passes :meth:`_Band.certifies`, ``||Mv - ev v|| <= 10 * tol
+    * (1 + ||M||_F)`` for the exact ``M``; a shift that makes a pivot zero
+    is nudged, and 50 steps without one raise :class:`NonConvergenceError`.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -504,32 +511,128 @@ def eigenvector(
         if not basis:
             raise ValueError(f"{ev.exact} is not an eigenvalue of the matrix")
         return basis
-
-    import numpy as np  # only numeric eigenvectors need it
-
-    a = np.array([[float(x) for x in row] for row in m])
-    lam = complex(ev.re, ev.im)
-    eye = np.eye(n)
-    if ev.im:
-        a, eye = a.astype(complex), eye.astype(complex)
-    v = np.ones(n, dtype=a.dtype) / math.sqrt(n)
-    shift = lam if ev.im else ev.re
-    bound = 10 * tol * (1 + np.linalg.norm(a))
+    if not n:
+        raise ValueError(f"{complex(ev.re, ev.im)} is not an eigenvalue of the matrix")
+    band = m.band if isinstance(m, _Rows) else _Band(m)
+    lam = complex(ev.re, ev.im) if ev.im else ev.re
+    shift, v = lam, [1 / math.sqrt(n)] * n
     for _ in range(50):
-        try:
-            w = np.linalg.solve(a - shift * eye, v)
-            norm = np.linalg.norm(w)
-        except np.linalg.LinAlgError:
-            norm = 0.0
-        if not np.isfinite(norm) or norm == 0:
+        w = band.solve(shift, v)
+        parts = [x for z in w for x in (z.real, z.imag)] if ev.im and w else w or ()
+        norm = math.hypot(*parts)
+        if not math.isfinite(norm) or norm == 0:
             shift = shift * (1 + 1e-13) + 1e-300
             continue
-        v = w / norm
-        if np.linalg.norm(a @ v - lam * v) <= bound:
-            return [tuple(v.tolist())]
+        v = [z / norm for z in w]
+        if band.certifies(v, ev, tol):
+            return [tuple(v)]
     raise NonConvergenceError(
-        f"inverse iteration failed to certify an eigenvector at {lam}"
+        f"inverse iteration failed to certify an eigenvector at {complex(lam)}"
     )
+
+
+class _Band:
+    """What inverse iteration reads of a square rational matrix ``M``: per
+    row, its first nonzero column ``lo`` and its entries from there to its
+    last nonzero one, as correctly rounded floats
+    and as integer numerators ``N`` over the lcm ``den`` of all
+    denominators; the lower and upper bandwidth; and ``||M||_F = sqrt(S) /
+    den``, ``S = sum N_ij^2``, rounded down to ``frobenius / (2^32 den)``."""
+
+    def __init__(self, m: Matrix):
+        n, ratios = len(m), []
+        for i, row in enumerate(m):
+            cols = list(compress(range(n), row)) or [i]
+            ratios.append((cols[0], [x.as_integer_ratio() for x in row[cols[0]:cols[-1] + 1]]))
+        self.lower = max(i - lo for i, (lo, _) in enumerate(ratios))
+        self.upper = max(lo + len(r) - 1 - i for i, (lo, r) in enumerate(ratios))
+        self.floats = [(lo, [a / d for a, d in r]) for lo, r in ratios]
+        self.den = math.lcm(*(d for _, r in ratios for _, d in r))
+        self.nums = [(lo, lo + len(r), [a * (self.den // d) for a, d in r]) for lo, r in ratios]
+        self.frobenius = math.isqrt(sum(x * x for *_, r in self.nums for x in r) << 64)
+
+    def solve(self, shift, v) -> Optional[list]:
+        """``w`` with ``(M - shift I) w = v`` in floats, or ``None`` if a
+        pivot is zero.  Gaussian elimination of column ``k`` takes the
+        largest of the ``lower + 1`` entries that can be nonzero there as
+        its pivot (by ``|re| + |im|`` for complex entries, as LAPACK does),
+        so the rows of ``U`` reach ``lower + upper`` places right of the
+        diagonal."""
+        n, lower, reach = len(v), self.lower, self.lower + self.upper + 1
+        size = abs if isinstance(shift, float) else lambda z: abs(z.real) + abs(z.imag)
+        a, b = [], list(v)
+        for i, (lo, entries) in enumerate(self.floats):
+            dense = [0.0] * n
+            dense[lo:lo + len(entries)] = entries
+            dense[i] -= shift
+            a.append(dense)
+        for k in range(n):
+            last, end = min(n, k + lower + 1), min(n, k + reach)
+            p, best = k, size(a[k][k])
+            for i in range(k + 1, last):
+                if size(a[i][k]) > best:
+                    p, best = i, size(a[i][k])
+            if not best:
+                return None
+            top = a[p]
+            a[k], a[p], b[k], b[p] = top, a[k], b[p], b[k]
+            pivot, bk = top[k], b[k]
+            for i in range(k + 1, last):
+                row = a[i]
+                f = row[k] / pivot
+                if f:
+                    for j in range(k + 1, end):
+                        row[j] -= f * top[j]
+                    b[i] -= f * bk
+        w = [0.0] * n
+        for k in range(n - 1, -1, -1):
+            row, acc = a[k], b[k]
+            for j in range(k + 1, min(n, k + reach)):
+                acc -= row[j] * w[j]
+            w[k] = acc / row[k]
+        return w
+
+    def residual(self, v: Sequence, ev: Eigenvalue) -> Tuple[int, int]:
+        """``(e, T)`` with ``||Mv - ev v||^2 = e / (T^4 den^2)`` exactly, for
+        ``v`` and ``ev`` read as the dyadic rationals they are: over their
+        largest denominator ``T``, ``v = (x + iy) / T`` and ``ev = (l + il')
+        / T``, and the residual times ``T^2 den`` has the integer real part
+        ``T N x - den (l x - l' y)`` and imaginary part ``T N y - den (l y +
+        l' x)``."""
+        parts = [*(z.real for z in v), *(z.imag for z in v)] if ev.im else v
+        dyadic = [x.as_integer_ratio() for x in (ev.re, ev.im, *parts)]
+        top = max(d for _, d in dyadic)
+        l, l_, *ints = [a * (top // d) for a, d in dyadic]
+        x, y = ints[:len(v)], ints[len(v):] or [0] * len(v)
+        dl, dl_ = self.den * l, self.den * l_
+        err = sum(
+            (top * sum(map(mul, r, x[lo:hi])) - dl * xi + dl_ * yi) ** 2
+            for (lo, hi, r), xi, yi in zip(self.nums, x, y)
+        )
+        if l_:
+            err += sum(
+                (top * sum(map(mul, r, y[lo:hi])) - dl * yi - dl_ * xi) ** 2
+                for (lo, hi, r), xi, yi in zip(self.nums, x, y)
+            )
+        return err, top
+
+    def certifies(self, v: Sequence, ev: Eigenvalue, tol: float) -> bool:
+        """``||Mv - ev v||^2 <= (10 tol (1 + ||M||_F))^2``, decided in
+        integers on :meth:`residual`, with ``tol`` read as the rational it is
+        and ``||M||_F`` rounded down."""
+        err, top = self.residual(v, ev)
+        tn, td = tol.as_integer_ratio()
+        return err * td * td << 64 <= (10 * tn * ((self.den << 32) + self.frobenius)) ** 2 * top**4
+
+
+class _Rows(tuple):
+    """Rows of a matrix, each a tuple, which keep the :class:`_Band` read
+    off them; they cannot change, so the numeric eigenvalues of one matrix
+    (see :func:`spectrum`) share it."""
+
+    @cached_property
+    def band(self) -> _Band:
+        return _Band(self)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +661,7 @@ def spectrum(
 ) -> Spectrum:
     """Restrict to the degree-n span of ``r`` (see :func:`restrict`), solve and
     pair eigenvalues with eigenvector coefficients."""
-    matrix = restrict(u, r, n)
+    matrix = _Rows(map(tuple, restrict(u, r, n)))
     cp = char_poly(matrix)
     evs = roots(cp, tol=tol, iter_cap=iter_cap)
     pairs = []

@@ -11,7 +11,7 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from fockspec import cli
+from fockspec import cli, spectra
 from fockspec.cli import main
 
 SCHEMA = json.loads(
@@ -358,6 +358,17 @@ def test_numeric_non_convergence_exits_4():
     assert "converge" in payload["diagnostics"][0]
 
 
+def test_uncertified_eigenvector_exits_4():
+    # a vector that never passes the exact backward-error test is not emitted
+    with mock.patch.object(spectra._Band, "certifies", return_value=False):
+        code, payload = run_json(
+            "spectrum", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=3",
+            "--n", "3",
+        )
+    assert code == 4
+    assert "failed to certify an eigenvector" in payload["diagnostics"][0]
+
+
 @pytest.mark.parametrize(
     "op, binds, n",
     [
@@ -494,24 +505,59 @@ def test_lame_64_isospectral_is_fast(argv):
     assert time.perf_counter() - start < 8.0
 
 
-def test_exact_commands_do_not_import_numpy():
-    # numpy is needed only for numeric eigenvectors; a fresh process that runs
-    # classify, isospectral and an all-exact spectrum never loads it
+#: one op of every command, real and complex numeric eigenvectors included
+EVERY_COMMAND = (
+    ["normal-order", "--expr", "(a+b)^3"],
+    ["classify", "--op", "hermite", "--nmax", "8"],
+    ["isospectral", "--op", "hermite", "--n", "5"],
+    ["spectrum", "--op", "hermite", "--n", "6"],
+    ["spectrum", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=8", "--n", "8"],
+    ["spectrum", "--op", "sextic", "--bind", "alpha=-1", "--bind", "beta=0", "--bind", "n=5",
+     "--n", "5"],
+    ["catalog"],
+)
+
+
+def _fresh_process(setup):
+    """Exit code and numeric eigenvalue kinds of each op of EVERY_COMMAND,
+    run in a fresh interpreter after ``setup``, and whether numpy was
+    loaded at the end."""
     script = (
-        "import io, sys\n"
+        "import io, json, sys\n"
+        f"{setup}\n"
         "from fockspec.cli import main\n"
-        "for argv in (['classify', '--op', 'hermite', '--nmax', '8'],\n"
-        "             ['isospectral', '--op', 'hermite', '--n', '5'],\n"
-        "             ['spectrum', '--op', 'hermite', '--n', '6']):\n"
-        "    assert main(argv, out=io.StringIO()) == 0, argv\n"
-        "print('numpy' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    code = main(argv, out=out)\n"
+        "    pairs = json.loads(out.getvalue())['result'].get('eigenpairs', [])\n"
+        "    kinds = sorted({'complex' if p['eigenvalue'].get('im') else 'real'\n"
+        "                    for p in pairs if 're' in p['eigenvalue']})\n"
+        "    print(json.dumps([code, kinds]))\n"
+        "print(json.dumps('numpy' in sys.modules))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src}, check=True,
+        [sys.executable, "-c", script, json.dumps(EVERY_COMMAND)], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.strip() == "False"
+    assert done.returncode == 0, done.stderr
+    *ops, loaded = [json.loads(line) for line in done.stdout.splitlines()]
+    return ops, loaded
+
+
+def test_no_command_imports_numpy():
+    # the package has no runtime dependency: a fresh process that runs every
+    # command, numeric spectra included, never loads numpy
+    ops, loaded = _fresh_process("")
+    assert [code for code, _ in ops] == [0] * len(EVERY_COMMAND)
+    assert loaded is False
+
+
+def test_numeric_spectra_run_with_numpy_blocked():
+    # a None entry in sys.modules makes every import of numpy raise; numeric
+    # eigenvectors, real and complex, still exit 0 with an envelope
+    ops, _ = _fresh_process("sys.modules['numpy'] = None")
+    assert ops == [[0, []]] * 4 + [[0, ["real"]], [0, ["complex"]], [0, []]]
 
 
 def test_numerators_beyond_the_digit_limit_are_written_out():

@@ -3,10 +3,9 @@ committed digest in ``output_digests.txt``.
 
 The ops are the script's own list, so the two cannot drift apart.  A change
 that means to alter output bytes regenerates the file with the script and
-names every changed label and its reason.  Float roots come from
-pure-Python arithmetic and are the same on every IEEE host; numeric
-eigenvectors come from numpy's LAPACK ``solve``, whose bits may differ on
-another BLAS build or CPU.
+names every changed label and its reason.  Float roots and numeric
+eigenvectors come from pure-Python float arithmetic in a fixed operation
+order, so they are the same on every IEEE host.
 """
 
 import importlib.util

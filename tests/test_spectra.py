@@ -5,10 +5,11 @@ import io
 import math
 import time
 from fractions import Fraction as F
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from fockspec.catalog import hermite, laguerre, lame, number, sextic
@@ -19,6 +20,8 @@ from fockspec.spectra import (
     CharPoly,
     Eigenvalue,
     LeakageError,
+    NonConvergenceError,
+    _Band,
     char_poly,
     eigenvector,
     isospectral_check,
@@ -30,7 +33,7 @@ from fockspec.spectra import (
 from fockspec.weyl import make
 
 from exact_matrix import mat_vec
-from strategies import rational_root_multisets, weyl_elements
+from strategies import rational_root_multisets, rationals, weyl_elements
 
 HERMITE = hermite().element
 
@@ -334,6 +337,70 @@ def test_numeric_eigenvector_bound_is_relative_to_the_matrix():
     for ev, vec in sp.eigenpairs:
         v = np.array(vec)
         assert np.linalg.norm(m @ v - complex(ev.re, ev.im) * v) <= bound
+
+
+@st.composite
+def lower_banded_matrices(draw):
+    """Square rational matrices of size 2..6 with a drawn lower bandwidth of
+    1 or 2 and upper bandwidth of 0..3; zero entries are drawn often."""
+    n = draw(st.integers(2, 6))
+    lower, upper = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    entry = st.one_of(st.just(F(0)), rationals())
+    return [[draw(entry) if -lower <= j - i <= upper else F(0) for j in range(n)] for i in range(n)]
+
+
+def _residual_squared(m, vec, ev):
+    """``||Mv - ev v||^2`` in Fraction arithmetic on the exact rows."""
+    lr, li = F(ev.re), F(ev.im)
+    x, y = [F(z.real) for z in vec], [F(z.imag) for z in vec]
+    return sum(
+        (sum(map(mul, row, x)) - lr * x[i] + li * y[i]) ** 2
+        + (sum(map(mul, row, y)) - lr * y[i] - li * x[i]) ** 2
+        for i, row in enumerate(m)
+    )
+
+
+def _within_bound(m, vec, ev, tol):
+    """``||Mv - ev v|| <= 10 tol (1 + ||M||_F)`` with ``||M||_F`` kept
+    exact: with ``e`` the squared residual over ``(10 tol)^2`` and ``s =
+    ||M||_F^2``, it holds iff ``d = e - 1 - s <= 2 sqrt(s)``."""
+    s = sum(c * c for row in m for c in row)
+    d = _residual_squared(m, vec, ev) / (10 * F(tol)) ** 2 - 1 - s
+    return d <= 0 or d * d <= 4 * s
+
+
+@settings(max_examples=80, deadline=None)
+@given(lower_banded_matrices())
+def test_numeric_eigenvectors_pass_an_exact_recomputation_of_the_certificate(m):
+    # each returned vector meets the bound on the exact rows; the same vector
+    # with the entry that moves the residual most scaled by 1 + 1e-6 fails it;
+    # the certificate's integer residual equals the Fraction one for both
+    try:
+        evs = roots(char_poly(m))
+    except NonConvergenceError:
+        evs = []
+    numeric = {(ev.re, ev.im): ev for ev in evs if not ev.is_exact}
+    assume(numeric)
+    n, band = len(m), _Band(m)
+    for ev in numeric.values():
+        (vec,) = eigenvector(m, ev)
+        assert _within_bound(m, vec, ev, 1e-12)
+        lam = complex(ev.re, ev.im)
+        column = [math.hypot(*(abs(complex(row[j]) - lam * (i == j)) for i, row in enumerate(m)))
+                  for j in range(n)]
+        j = max(range(n), key=lambda j: abs(vec[j]) * column[j])
+        bent = [*vec[:j], vec[j] * (1 + 1e-6), *vec[j + 1:]]
+        assert not band.certifies(bent, ev, 1e-12)
+        assert not _within_bound(m, bent, ev, 1e-12)
+        # scaled so that the residual moves by 0.95 and 1.05 times the bound,
+        # which puts it near the bound: the two decisions still agree
+        bound = 1e-11 * (1 + math.hypot(*(float(c) for row in m for c in row)))
+        for k in (0.95, 1.05):
+            near = [*vec[:j], vec[j] * (1 + k * bound / abs(vec[j]) / column[j]), *vec[j + 1:]]
+            assert band.certifies(near, ev, 1e-12) is _within_bound(m, near, ev, 1e-12)
+        for v in (vec, bent):
+            err, top = band.residual(v, ev)
+            assert F(err, top**4 * band.den**2) == _residual_squared(m, v, ev)
 
 
 def test_eigenvector_rejects_non_eigenvalue():
