@@ -11,7 +11,7 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from fockspec import cli, spectra
+from fockspec import banded, cli
 from fockspec.cli import main
 
 SCHEMA = json.loads(
@@ -360,7 +360,7 @@ def test_numeric_non_convergence_exits_4():
 
 def test_uncertified_eigenvector_exits_4():
     # a vector that never passes the exact backward-error test is not emitted
-    with mock.patch.object(spectra._Band, "certifies", return_value=False):
+    with mock.patch.object(banded.Band, "certifies", return_value=False):
         code, payload = run_json(
             "spectrum", "--op", "lame", "--bind", "m=2", "--bind", "d=1", "--bind", "n=3",
             "--n", "3",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+from fockspec.banded import Band
 from fockspec.catalog import hermite, laguerre, lame, number, sextic
 from fockspec.cli import main as cli_main
 from fockspec.realizations import ComplexPlane, DeltaLattice, Differential, QLattice
@@ -21,7 +22,6 @@ from fockspec.spectra import (
     Eigenvalue,
     LeakageError,
     NonConvergenceError,
-    _Band,
     char_poly,
     eigenvector,
     isospectral_check,
@@ -381,7 +381,7 @@ def test_numeric_eigenvectors_pass_an_exact_recomputation_of_the_certificate(m):
         evs = []
     numeric = {(ev.re, ev.im): ev for ev in evs if not ev.is_exact}
     assume(numeric)
-    n, band = len(m), _Band(m)
+    n, band = len(m), Band(m)
     for ev in numeric.values():
         (vec,) = eigenvector(m, ev)
         assert _within_bound(m, vec, ev, 1e-12)
