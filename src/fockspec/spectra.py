@@ -11,9 +11,12 @@ rule of signs on integer Taylor shifts isolates the real roots, rational
 ones are read off their exact intervals, and every other real root is
 certified by an exact bracket of width at most ``tol`` (then
 Newton-polished in floats).  Durand-Kerner iteration finds complex pairs,
-certified by ``|p(z)| / (1 + max|coeff|)``.  Numeric eigenvectors come
-from banded inverse iteration in floats, each accepted by its backward
-error for the exact matrix, evaluated in integers.
+certified by ``|p(z)| / (1 + max|coeff|)``.  Exact eigenvectors reduce
+the sparse columns of ``M - t I``, ``t`` taken off each diagonal entry as it
+is read (the rows of :func:`restrict` remember their flag matrix, so its
+columns are read once); numeric ones come from banded inverse iteration in
+floats, each accepted by its backward error for the exact matrix, evaluated
+in integers.
 
 Cross-realization isospectrality is proved, not recomputed: a realization
 whose b-chain passes the Fock-module check has the Fock flag matrix's polynomial.
@@ -25,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
@@ -42,8 +46,7 @@ class LeakageError(Exception):
 
     def __init__(self, column: int, overflow: object):
         super().__init__(f"column {column} leaks out of the requested span")
-        self.column = column
-        self.overflow = overflow
+        self.column, self.overflow = column, overflow
 
 
 class NonConvergenceError(Exception):
@@ -64,9 +67,8 @@ def _invariant_matrix(u: WeylElement, r: Realization, n: int) -> FlagMatrix:
     if n < 0:
         raise ValueError("matrix size bound must be nonnegative")
     fm = realize_matrix(u, r, n)
-    if fm.has_leakage:
-        col = min(fm.leakage)
-        raise LeakageError(col, fm.leakage[col])
+    if fm.has_leakage:  # the lowest leaking column and its overflow
+        raise LeakageError(*min(fm.leakage.items()))
     return fm
 
 
@@ -74,10 +76,11 @@ def restrict(u: WeylElement, r: Realization, n: int) -> Matrix:
     """The (n+1)x(n+1) matrix of ``u`` on the degree-n span of ``r`` (for
     ``ComplexPlane(m)``, the span of ``b^k(z^m)``, k <= n).
 
-    Raises :class:`LeakageError` (with the witness column and overflow) if
-    the span is not invariant.
+    The rows remember the :class:`FlagMatrix` they were read from (see
+    :class:`_Rows`).  Raises :class:`LeakageError` (with the witness column
+    and overflow) if the span is not invariant.
     """
-    return _invariant_matrix(u, r, n).to_rows()
+    return _Rows(_invariant_matrix(u, r, n))
 
 
 # ---------------------------------------------------------------------------
@@ -85,37 +88,43 @@ def restrict(u: WeylElement, r: Realization, n: int) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def nullspace(a: Matrix) -> List[Tuple[Rational, ...]]:
-    """Basis of the exact nullspace that reduced row echelon form gives: per
-    free column, the vector that is 1 there, 0 at the other free columns and
-    supported on the pivot columns to its left.  Columns are reduced left to
-    right on their lowest nonzero row (Zomorodian and Carlsson, Discrete
-    Comput. Geom. 33 (2005) 249): a sparse column and its combination of the
-    columns of ``a`` have the pivot stored at that row subtracted, until the
-    row has no pivot (the column becomes it) or the column is zero (it is
-    free, and its combination is its basis vector)."""
+def nullspace(a: Matrix, shift: Rational = 0) -> List[Tuple[Rational, ...]]:
+    """Basis of the exact nullspace of ``a - shift I`` that reduced row
+    echelon form gives: per free column, the vector that is 1 there, 0 at
+    the other free columns and supported on the pivot columns to its left.
+    Sparse columns, the shift taken off their diagonal entry as they are read,
+    are reduced left to right on their lowest nonzero row (Zomorodian and
+    Carlsson, Discrete Comput. Geom. 33 (2005) 249): a column and its
+    combination of the columns of ``a`` have the pivot stored at that row
+    subtracted, until the row has no pivot (the column becomes it) or the
+    column is zero (it is free, and its combination is its basis vector)."""
     n_cols = len(a[0]) if a else 0
     if any(len(row) != n_cols for row in a):
         raise ValueError("nullspace needs rows of equal length")
-    pivots: Dict[int, Tuple[Dict[int, Fraction], Dict[int, Fraction]]] = {}
+    columns = a.columns if isinstance(a, _Rows) and a == a.as_read else [
+        {i: x if isinstance(x, Fraction) else Fraction(x) for i, x in enumerate(col) if x}
+        for col in zip(*a)]
+    shift, zero, one = Fraction(shift), Fraction(0), Fraction(1)
+    pivots: Dict[int, Tuple[Fraction, Dict[int, Fraction], Dict[int, Fraction]]] = {}
     basis = []
-    for c, entries in enumerate(zip(*a)):
-        col = {i: x if isinstance(x, Fraction) else Fraction(x) for i, x in enumerate(entries) if x}
-        comb = {c: Fraction(1)}
+    for c, col in enumerate(map(dict, columns)):
+        if c < len(a) and (diagonal := col.pop(c, 0) - shift):
+            col[c] = diagonal
+        comb = {c: one}
         while col:
             low = max(col)
             if low not in pivots:
-                pivots[low] = (col, comb)
+                pivots[low] = (col.pop(low), col, comb)
                 break
-            p_col, p_comb = pivots[low]
-            f = col[low] / p_col[low]
+            pivot, p_col, p_comb = pivots[low]
+            f = col.pop(low) / pivot
             for target, source in ((col, p_col), (comb, p_comb)):
                 for i, x in source.items():
                     y = target.pop(i, 0) - f * x
                     if y:
                         target[i] = y
         else:
-            basis.append(tuple(comb.get(j, Fraction(0)) for j in range(n_cols)))
+            basis.append(tuple(comb.get(j, zero) for j in range(n_cols)))
     return basis
 
 
@@ -410,9 +419,7 @@ def _durand_kerner(p: UniPoly, tol: float, iter_cap: int) -> List[complex]:
             max_step = max(max_step, abs(step))
         if max_step < 1e-15 * (1 + max(abs(z) for z in zs)):
             return zs
-    raise NonConvergenceError(
-        f"simultaneous root iteration did not converge in {iter_cap} steps"
-    )
+    raise NonConvergenceError(f"simultaneous root iteration did not converge in {iter_cap} steps")
 
 
 def roots(
@@ -487,9 +494,7 @@ def roots(
 # ---------------------------------------------------------------------------
 
 
-def eigenvector(
-    m: Matrix, ev: Eigenvalue, tol: float = DEFAULT_ROOT_TOL
-) -> List[Tuple]:
+def eigenvector(m: Matrix, ev: Eigenvalue, tol: float = DEFAULT_ROOT_TOL) -> List[Tuple]:
     """Nullspace basis of ``M - ev`` (usually one vector).
 
     Exact eigenvalues give the exact basis of :func:`nullspace`, whose
@@ -505,14 +510,14 @@ def eigenvector(
     if any(len(row) != n for row in m):
         raise ValueError("eigenvector needs a square matrix")
     if ev.is_exact:
-        shifted = [[*row[:i], row[i] - ev.exact, *row[i + 1:]] for i, row in enumerate(m)]
-        basis = nullspace(shifted)
+        basis = nullspace(m, ev.exact)
         if not basis:
             raise ValueError(f"{ev.exact} is not an eigenvalue of the matrix")
         return basis
     if not n:
         raise ValueError(f"{complex(ev.re, ev.im)} is not an eigenvalue of the matrix")
-    band = (m if isinstance(m, _Rows) else _Rows(map(tuple, m))).band
+    from .banded import Band  # imported here, so that exact work never compiles it
+    band = m.band if isinstance(m, _Rows) and m == m.as_read else Band(m)
     lam = complex(ev.re, ev.im) if ev.im else ev.re
     shift, v = lam, [1 / math.sqrt(n)] * n
     for _ in range(50):
@@ -525,21 +530,28 @@ def eigenvector(
         v = [z / norm for z in w]
         if band.certifies(v, ev, tol):
             return [tuple(v)]
-    raise NonConvergenceError(
-        f"inverse iteration failed to certify an eigenvector at {complex(lam)}"
-    )
+    raise NonConvergenceError(f"inverse iteration failed to certify an eigenvector at {complex(lam)}")
 
 
-class _Rows(tuple):
-    """Rows of a matrix, each a tuple, which keep the band read off them;
-    they cannot change, so the numeric eigenvalues of one matrix (see
-    :func:`spectrum`) share it."""
+class _Rows(list):
+    """Rows of a :class:`FlagMatrix` that remember it, and what is read off it
+    once: each column's nonzero entries by row, and the band.  Rows can
+    change, so these are read only while the rows equal ``as_read``, a copy
+    of the entries (on unchanged rows, a comparison of pointers)."""
+
+    def __init__(self, flag: FlagMatrix):
+        self.flag, self.as_read = flag, [*map(list, flag.entries)]
+        super().__init__(map(list.copy, self.as_read))
+
+    @cached_property
+    def columns(self) -> List[Dict[int, Fraction]]:
+        return [dict(compress(enumerate(c.coeffs), c.numerators)) for c in self.flag.columns]
 
     @cached_property
     def band(self):
-        from .banded import Band  # imported here, so that exact work never compiles it
+        from .banded import Band
 
-        return Band(self)
+        return Band(self.as_read)
 
 
 # ---------------------------------------------------------------------------
@@ -568,25 +580,12 @@ def spectrum(
 ) -> Spectrum:
     """Restrict to the degree-n span of ``r`` (see :func:`restrict`), solve and
     pair eigenvalues with eigenvector coefficients."""
-    matrix = _Rows(map(tuple, restrict(u, r, n)))
-    cp = char_poly(matrix)
-    evs = roots(cp, tol=tol, iter_cap=iter_cap)
-    pairs = []
-    seen: set = set()
-    for ev in evs:
-        key = ev.exact if ev.is_exact else (ev.re, ev.im)
-        if key in seen:
-            continue  # one eigenvector set per distinct eigenvalue
-        seen.add(key)
-        for vec in eigenvector(matrix, ev, tol=tol):
-            pairs.append((ev, vec))
-    return Spectrum(
-        operator=operator_label,
-        realization=r.label,
-        degree=n,
-        char_poly=cp,
-        eigenpairs=tuple(pairs),
-    )
+    matrix = restrict(u, r, n)
+    cp = char_poly(matrix.flag)
+    evs = dict.fromkeys(roots(cp, tol=tol, iter_cap=iter_cap))  # one eigenvector set per eigenvalue
+    pairs = tuple((ev, vec) for ev in evs for vec in eigenvector(matrix, ev, tol=tol))
+    return Spectrum(operator=operator_label, realization=r.label, degree=n, char_poly=cp,
+                    eigenpairs=pairs)
 
 
 @dataclass(frozen=True)

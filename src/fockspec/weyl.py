@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
+_ZERO = Fraction(0)  # shared by every zero coefficient read off integer numerators
 
 #: Default bound on each generator exponent.  Exceeding it is a hard error,
 #: never a silent truncation.
@@ -352,7 +353,7 @@ class FockVector:
     @property
     def coeffs(self) -> Tuple[Rational, ...]:
         if self._coeffs is None:
-            self._coeffs = tuple(Fraction(x, self._den) for x in self._nums)
+            self._coeffs = tuple(Fraction(x, self._den) if x else _ZERO for x in self._nums)
         return self._coeffs
 
     def __eq__(self, other: object) -> bool:
@@ -552,8 +553,8 @@ class FlagMatrix:
 
     @cached_property
     def entries(self) -> Tuple[Tuple[Rational, ...], ...]:
-        size, zero = len(self.columns), Fraction(0)  # one zero, shared
-        return tuple(zip(*[c.coeffs + (zero,) * (size - len(c.coeffs)) for c in self.columns]))
+        size = len(self.columns)
+        return tuple(zip(*[c.coeffs + (_ZERO,) * (size - len(c.coeffs)) for c in self.columns]))
 
     @property
     def size(self) -> int:

@@ -25,7 +25,10 @@ Sturm chain, its isolation and its gcd stay the reference, and so does the
 bisection that takes a Taylor shift of every part.  Nullspaces come from
 sparse column reduction on the lowest nonzero row; row echelon elimination
 with back-substitution, and the normalization that followed it in
-``eigenvector``, stay the reference.  Flag matrices keep integer columns,
+``eigenvector``, stay the reference; the shift is taken off the diagonal as
+a column is read, and the rows of ``restrict`` give their flag matrix's
+sparse columns, so the reduction of a dense shifted copy and the rows of a
+plain copy stay the reference.  Flag matrices keep integer columns,
 the q-lattice acts on integer numerators and ``char_poly`` runs in
 integers; the ``Fraction`` rows of the assembly, the ``Fraction`` table of
 q-numbers and the ``Fraction`` similarity and recurrence stay the reference.
@@ -1286,10 +1289,16 @@ def catalog_restrictions(draw):
     return restrict(element, r, n)
 
 
+#: a repeated eigenvalue: (k-3)^2 (k-7) is 0 at k = 3 and k = 7, and the
+#: lowering term joins the two into one Jordan block
+REPEATED = lower(parse("(b*a-3)^2*(b*a-7) + 2*a"), {})
+
+
 @given(catalog_restrictions())
 @example(restrict(HERMITE, Differential(), 24))
 @example(restrict(laguerre(F(1, 3)).element, Differential(), 24))
 @example(restrict(lame(F(5, 2), 0, 12).element, Differential(), 12))
+@example(restrict(REPEATED, Differential(), 12))
 @settings(max_examples=40, deadline=None)
 def test_catalog_eigenvectors_equal_the_normalized_row_echelon_basis(m):
     evs = roots(char_poly(m))
@@ -1297,6 +1306,60 @@ def test_catalog_eigenvectors_equal_the_normalized_row_echelon_basis(m):
     for k in sorted({ev.exact for ev in evs}):
         _same_basis(nullspace(_shifted(m, k)), _row_echelon_nullspace(_shifted(m, k)))
         assert eigenvector(m, Eigenvalue.from_exact(k)) == _normalized_eigenvectors(m, k)
+
+
+@given(catalog_restrictions())
+@example(restrict(REPEATED, Differential(), 12))
+@example(restrict(REPEATED, DeltaLattice(F(1, 3)), 12))
+@example(restrict(REPEATED, QLattice(F(1, 2)), 12))
+@settings(max_examples=40, deadline=None)
+def test_restrict_rows_give_the_eigenvectors_of_a_plain_copy(m):
+    plain = [row[:] for row in m]
+    for ev in dict.fromkeys(roots(char_poly(m))):
+        assert eigenvector(m, ev) == eigenvector(plain, ev)
+
+
+def _dense_nullspace(a):
+    """The column reduction as it read a dense matrix: every entry scanned
+    into a sparse column of ``Fraction``s, and each pivot subtracted at its
+    own row too."""
+    n_cols = len(a[0]) if a else 0
+    pivots, basis = {}, []
+    for c, entries in enumerate(zip(*a)):
+        col = {i: x if isinstance(x, F) else F(x) for i, x in enumerate(entries) if x}
+        comb = {c: F(1)}
+        while col:
+            low = max(col)
+            if low not in pivots:
+                pivots[low] = (col, comb)
+                break
+            p_col, p_comb = pivots[low]
+            f = col[low] / p_col[low]
+            for target, source in ((col, p_col), (comb, p_comb)):
+                for i, x in source.items():
+                    y = target.pop(i, 0) - f * x
+                    if y:
+                        target[i] = y
+        else:
+            basis.append(tuple(comb.get(j, F(0)) for j in range(n_cols)))
+    return basis
+
+
+@given(char_poly_matrices(), st.integers(0, 15))
+@example([[F(3), F(1), F(0)], [F(0), F(3), F(0)], [F(0), F(0), F(3)]], 0)  # 3, twice free
+@settings(max_examples=200, deadline=None)
+def test_shifted_nullspace_equals_the_dense_reference(m, pick):
+    # the shift is an exact eigenvalue or a diagonal entry (on a triangular
+    # matrix, the same), so the nullspace is often nontrivial
+    try:
+        evs = roots(char_poly(m))
+    except NonConvergenceError as err:
+        evs = err.partial
+    except OverflowError:  # float() of a huge coefficient, for a numeric root
+        evs = []
+    candidates = [ev.exact for ev in evs if ev.is_exact] + [row[i] for i, row in enumerate(m)]
+    shift = candidates[pick % len(candidates)] if candidates else F(0)
+    _same_basis(nullspace(m, shift), _dense_nullspace(_shifted(m, shift)))
 
 
 @pytest.mark.parametrize("index", range(len(LATTICE_RESTRICTIONS)))

@@ -430,6 +430,48 @@ def test_nullspace_rejects_ragged_rows(rows):
         nullspace(frac_matrix(rows))
 
 
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, NonConvergenceError) as err:
+        return type(err), str(err)
+
+
+def _increment_entry(m):
+    m[1][1] += 1
+
+
+def _replace_row(m):
+    m[2] = [F(k + 1) for k in range(len(m))]
+
+
+def _swap_rows(m):
+    m[0], m[3] = m[3], m[0]
+
+
+@pytest.mark.parametrize("mutate", [_increment_entry, _replace_row, _swap_rows])
+@pytest.mark.parametrize("op, n", [(HERMITE, 5), (lame(2, 1, 4).element, 4)], ids=["hermite", "lame"])
+def test_changed_restrict_rows_are_read_as_rows(op, n, mutate):
+    # restrict's rows keep the columns and band read off their flag matrix;
+    # once the rows change, every consumer must read the rows instead
+    m = restrict(op, Differential(), n)
+    before = roots(char_poly(m))
+    for ev in dict.fromkeys(before):
+        eigenvector(m, ev)  # fills the sparse columns (exact) or the band (numeric)
+    mutate(m)
+    plain = [row[:] for row in m]
+    assert type(plain) is list and plain == m
+    assert char_poly(m) == char_poly(plain)
+    assert nullspace(m) == nullspace(plain)
+    after = _outcome(lambda: roots(char_poly(plain)))
+    evs = dict.fromkeys(before + (after if isinstance(after, list) else []))
+    evs.update({Eigenvalue.from_exact(x): None for row in plain for x in row})
+    for ev in evs:
+        if ev.is_exact:
+            assert nullspace(m, ev.exact) == nullspace(plain, ev.exact)
+        assert _outcome(lambda: eigenvector(m, ev)) == _outcome(lambda: eigenvector(plain, ev))
+
+
 # -- spectrum assembly --------------------------------------------------------
 
 
