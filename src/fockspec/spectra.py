@@ -14,9 +14,10 @@ Newton-polished in floats).  Durand-Kerner iteration finds complex pairs,
 certified by ``|p(z)| / (1 + max|coeff|)``.  Exact eigenvectors reduce
 the sparse columns of ``M - t I``, ``t`` taken off each diagonal entry as it
 is read (the rows of :func:`restrict` remember their flag matrix, so its
-columns are read once); numeric ones come from banded inverse iteration in
-floats, each accepted by its backward error for the exact matrix, evaluated
-in integers.
+columns are read once), with each entry a reduced integer pair combined by
+``Fraction``'s own gcd-saving formulas; numeric ones come from banded
+inverse iteration in floats, each accepted by its backward error for the
+exact matrix, evaluated in integers.
 
 Cross-realization isospectrality is proved, not recomputed: a realization
 whose b-chain passes the Fock-module check has the Fock flag matrix's polynomial.
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
@@ -97,35 +97,62 @@ def nullspace(a: Matrix, shift: Rational = 0) -> List[Tuple[Rational, ...]]:
     Carlsson, Discrete Comput. Geom. 33 (2005) 249): a column and its
     combination of the columns of ``a`` have the pivot stored at that row
     subtracted, until the row has no pivot (the column becomes it) or the
-    column is zero (it is free, and its combination is its basis vector)."""
+    column is zero (it is free, and its combination is its basis vector).
+    Entries are reduced integer pairs ``(numerator, denominator)``, combined
+    inline by ``Fraction``'s own gcd-saving formulas (Knuth, TAOCP Vol. 2,
+    4.5.1): each is the reduced fraction that ``Fraction`` would give."""
     n_cols = len(a[0]) if a else 0
-    if any(len(row) != n_cols for row in a):
+    if isinstance(a, _Rows) and a == a.as_read:
+        columns = a.columns
+    elif any(len(row) != n_cols for row in a):
         raise ValueError("nullspace needs rows of equal length")
-    columns = a.columns if isinstance(a, _Rows) and a == a.as_read else [
-        {i: x if isinstance(x, Fraction) else Fraction(x) for i, x in enumerate(col) if x}
-        for col in zip(*a)]
-    shift, zero, one = Fraction(shift), Fraction(0), Fraction(1)
-    pivots: Dict[int, Tuple[Fraction, Dict[int, Fraction], Dict[int, Fraction]]] = {}
+    else:
+        columns = [{i: Fraction(x).as_integer_ratio() for i, x in enumerate(col) if x}
+                   for col in zip(*a)]
+    shift, zero = Fraction(shift).as_integer_ratio(), Fraction(0)
+    pivots: Dict[int, tuple] = {}  # row: (pivot, its column, its combination)
     basis = []
     for c, col in enumerate(map(dict, columns)):
-        if c < len(a) and (diagonal := col.pop(c, 0) - shift):
+        if c < len(a) and (diagonal := _sub(*col.pop(c, (0, 1)), *shift))[0]:
             col[c] = diagonal
-        comb = {c: one}
+        comb = {c: (1, 1)}
         while col:
             low = max(col)
             if low not in pivots:
                 pivots[low] = (col.pop(low), col, comb)
                 break
-            pivot, p_col, p_comb = pivots[low]
-            f = col.pop(low) / pivot
+            (pn, pd), p_col, p_comb = pivots[low]
+            xn, xd = col.pop(low)
+            g1, g2 = math.gcd(xn, pn) * (1 if pn > 0 else -1), math.gcd(xd, pd)  # f = x / pivot
+            fn, fd = xn // g1 * (pd // g2), pn // g1 * (xd // g2)
             for target, source in ((col, p_col), (comb, p_comb)):
-                for i, x in source.items():
-                    y = target.pop(i, 0) - f * x
-                    if y:
+                for i, (yn, yd) in source.items():
+                    g1, g2 = math.gcd(fn, yd), math.gcd(yn, fd)  # f * y
+                    yn, yd = fn // g1 * (yn // g2), fd // g2 * (yd // g1)
+                    if (y := _sub(*target.pop(i, (0, 1)), yn, yd))[0]:
                         target[i] = y
         else:
-            basis.append(tuple(comb.get(j, zero) for j in range(n_cols)))
+            basis.append(tuple(_fraction(*comb[j]) if j in comb else zero for j in range(n_cols)))
     return basis
+
+
+def _sub(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
+    """``an/ad - bn/bd`` of reduced pairs, reduced as ``Fraction`` does it."""
+    g = math.gcd(ad, bd)
+    if g == 1:
+        return an * bd - ad * bn, ad * bd
+    s = ad // g
+    t = an * (bd // g) - bn * s
+    g2 = math.gcd(t, g)
+    return t // g2, s * (bd // g2)
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` of a reduced pair (``den > 0``) without a second
+    gcd; it relies on ``Fraction``'s private slots, unchanged in 3.10-3.13."""
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = num, den
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +171,7 @@ class CharPoly(UniPoly):
         super().__init__(coeffs)
 
     def eval_complex(self, z: complex) -> complex:
-        return horner(self.coeffs, z)
+        return horner([complex(c) for c in self.coeffs], z)
 
     def text(self, var: str = "t") -> str:
         """Readable form such as ``t^2 - 8`` (highest degree first)."""
@@ -375,11 +402,10 @@ def _refine_real_root(
     return a, b, k
 
 
-def _newton_polish(p: UniPoly, a: int, b: int, k: int) -> float:
-    """Float Newton polish of a root bracketed by ``(a/2^k, b/2^k)``; falls
-    back to the bracket midpoint if it leaves the bracket."""
-    fc = [float(c) for c in p.coeffs]
-    dc = [float(c) for c in p.derivative().coeffs]
+def _newton_polish(fc: List[float], dc: List[float], a: int, b: int, k: int) -> float:
+    """Float Newton polish, on coefficients ``fc`` and derivative ``dc``, of a
+    root bracketed by ``(a/2^k, b/2^k)``; falls back to the bracket midpoint
+    if it leaves the bracket."""
     x = mid = (a + b) / (1 << (k + 1))
     for _ in range(8):
         fx = horner(fc, x)
@@ -443,13 +469,15 @@ def roots(
         ints = _primitive(factor.numerators)
         dp = [d * c for d, c in enumerate(ints)][1:]
         rational, intervals = _isolate_real_roots(ints)
+        floats = None  # the factor's and its derivative's, once it has an irrational root
         n_complex = factor.degree - len(rational) - len(intervals)
         for a, b, k in intervals:
             found = _refine_real_root(ints, dp, a, b, k, tol)
             if isinstance(found, Fraction):
                 rational.append(found)
             else:
-                numeric.append((_newton_polish(factor, *found), 0.0, mult))
+                floats = floats or [[float(c) for c in f.coeffs] for f in (factor, factor.derivative())]
+                numeric.append((_newton_polish(*floats, *found), 0.0, mult))
         exact_roots.extend(r for r in rational for _ in range(mult))
         if n_complex:
             rest = factor
@@ -457,13 +485,15 @@ def roots(
                 rest = divmod(rest, UniPoly((-r, 1)))[0]
             try:
                 approx = _durand_kerner(rest, tol, iter_cap)
+                complex_ones = sorted(approx, key=lambda z: abs(z.imag), reverse=True)[:n_complex]
+                paired = [z for z in complex_ones if z.imag > 0]
+                if 2 * len(paired) != n_complex or not all(z.imag for z in complex_ones):
+                    raise NonConvergenceError("simultaneous root iteration gave no conjugate pairs")
             except NonConvergenceError as err:
                 raise NonConvergenceError(
                     str(err),
                     partial=[Eigenvalue.from_exact(r) for r in sorted(exact_roots)],
                 ) from None
-            complex_ones = sorted(approx, key=lambda z: abs(z.imag), reverse=True)[:n_complex]
-            paired = [z for z in complex_ones if z.imag > 0]
             for z in paired:
                 partner = min(
                     (w for w in complex_ones if w.imag < 0),
@@ -474,10 +504,11 @@ def roots(
                 numeric.append((re, im, mult))
                 numeric.append((re, -im, mult))
     out = [Eigenvalue.from_exact(r) for r in sorted(exact_roots)]
-    # float() of a large coefficient overflows; only numeric roots need it
-    scale = 1 + max(abs(float(c)) for c in p.coeffs) if numeric else 1.0
+    # complex() of a large coefficient overflows; only numeric roots need it
+    coeffs = [complex(c) for c in p.coeffs] if numeric else []
+    scale = 1 + max((abs(c.real) for c in coeffs), default=0.0)
     for re, im, mult in sorted(numeric, key=lambda t: (t[0], t[1])):
-        residual = abs(p.eval_complex(complex(re, im))) / scale
+        residual = abs(horner(coeffs, complex(re, im))) / scale
         if im and residual > tol:
             raise NonConvergenceError(
                 f"root {re}+{im}j failed residual certification "
@@ -506,8 +537,8 @@ def eigenvector(m: Matrix, ev: Eigenvalue, tol: float = DEFAULT_ROOT_TOL) -> Lis
     makes a pivot zero is nudged, and 50 steps without one raise
     :class:`NonConvergenceError`.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
+    n, unchanged = len(m), isinstance(m, _Rows) and m == m.as_read  # then square
+    if not unchanged and any(len(row) != n for row in m):
         raise ValueError("eigenvector needs a square matrix")
     if ev.is_exact:
         basis = nullspace(m, ev.exact)
@@ -517,7 +548,7 @@ def eigenvector(m: Matrix, ev: Eigenvalue, tol: float = DEFAULT_ROOT_TOL) -> Lis
     if not n:
         raise ValueError(f"{complex(ev.re, ev.im)} is not an eigenvalue of the matrix")
     from .banded import Band  # imported here, so that exact work never compiles it
-    band = m.band if isinstance(m, _Rows) and m == m.as_read else Band(m)
+    band = m.band if unchanged else Band(m)
     lam = complex(ev.re, ev.im) if ev.im else ev.re
     shift, v = lam, [1 / math.sqrt(n)] * n
     for _ in range(50):
@@ -535,17 +566,19 @@ def eigenvector(m: Matrix, ev: Eigenvalue, tol: float = DEFAULT_ROOT_TOL) -> Lis
 
 class _Rows(list):
     """Rows of a :class:`FlagMatrix` that remember it, and what is read off it
-    once: each column's nonzero entries by row, and the band.  Rows can
-    change, so these are read only while the rows equal ``as_read``, a copy
-    of the entries (on unchanged rows, a comparison of pointers)."""
+    once: each column's nonzero entries by row, as reduced integer pairs
+    ``(numerator, denominator)``, and the band.  Rows can change, so these
+    are read only while the rows equal ``as_read``, a copy of the entries
+    (on unchanged rows, a comparison of pointers)."""
 
     def __init__(self, flag: FlagMatrix):
         self.flag, self.as_read = flag, [*map(list, flag.entries)]
         super().__init__(map(list.copy, self.as_read))
 
     @cached_property
-    def columns(self) -> List[Dict[int, Fraction]]:
-        return [dict(compress(enumerate(c.coeffs), c.numerators)) for c in self.flag.columns]
+    def columns(self) -> List[Dict[int, Tuple[int, int]]]:
+        return [{i: (x // g, c._den // g) for i, x in enumerate(c._nums)
+                 if x and (g := math.gcd(x, c._den))} for c in self.flag.columns]
 
     @cached_property
     def band(self):

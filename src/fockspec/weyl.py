@@ -285,7 +285,7 @@ def horner(coeffs: Sequence, x):
     """``sum coeffs[k] x^k`` by Horner's rule from the top coefficient down:
     exact over rationals, and in one fixed operation order over floats and
     complex numbers."""
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -500,7 +500,7 @@ class FockVector:
         return FockVector._normalized(out, den * t**n)
 
     def __call__(self, x: RationalLike) -> Rational:
-        return horner(self.coeffs, as_rational(x))
+        return horner(self.coeffs or (_ZERO,), as_rational(x))
 
     def _cut(self, n: int) -> Tuple["FockVector", "FockVector"]:
         """The part of degrees ``0..n`` and the part above ``n``."""

@@ -28,7 +28,8 @@ with back-substitution, and the normalization that followed it in
 ``eigenvector``, stay the reference; the shift is taken off the diagonal as
 a column is read, and the rows of ``restrict`` give their flag matrix's
 sparse columns, so the reduction of a dense shifted copy and the rows of a
-plain copy stay the reference.  Flag matrices keep integer columns,
+plain copy stay the reference; entries are reduced integer pairs, and the
+``Fraction`` loop stays the reference.  Flag matrices keep integer columns,
 the q-lattice acts on integer numerators and ``char_poly`` runs in
 integers; the ``Fraction`` rows of the assembly, the ``Fraction`` table of
 q-numbers and the ``Fraction`` similarity and recurrence stay the reference.
@@ -335,6 +336,8 @@ def test_eval_complex_keeps_the_float_operation_order():
             acc = acc * z + complex(c)
         assert cp.eval_complex(z) == acc
         assert cp(F(k, 3)) == sum(c * F(k, 3) ** d for d, c in enumerate(cp.coeffs))
+    # Horner starts from the integer 0; a rational value is still a Fraction
+    assert all(type(FockVector(c)(F(1, 3))) is F for c in ([], [F(0)], [F(2)], [F(1, 2), F(3)]))
 
 
 # -- shared a-powers in the realization action -------------------------------------
@@ -1377,6 +1380,107 @@ def test_lattice_nullspace_equals_the_row_echelon_basis(index, j, coeffs):
     basis = nullspace(singular)
     assert basis
     _same_basis(basis, _row_echelon_nullspace(singular))
+
+
+def _fraction_nullspace(a, shift=0):
+    """The column reduction in ``Fraction`` arithmetic that reduced integer
+    pairs replaced, as it read plain rows."""
+    n_cols = len(a[0]) if a else 0
+    if any(len(row) != n_cols for row in a):
+        raise ValueError("nullspace needs rows of equal length")
+    columns = [
+        {i: x if isinstance(x, F) else F(x) for i, x in enumerate(col) if x}
+        for col in zip(*a)]
+    shift, zero, one = F(shift), F(0), F(1)
+    pivots = {}
+    basis = []
+    for c, col in enumerate(map(dict, columns)):
+        if c < len(a) and (diagonal := col.pop(c, 0) - shift):
+            col[c] = diagonal
+        comb = {c: one}
+        while col:
+            low = max(col)
+            if low not in pivots:
+                pivots[low] = (col.pop(low), col, comb)
+                break
+            pivot, p_col, p_comb = pivots[low]
+            f = col.pop(low) / pivot
+            for target, source in ((col, p_col), (comb, p_comb)):
+                for i, x in source.items():
+                    y = target.pop(i, 0) - f * x
+                    if y:
+                        target[i] = y
+        else:
+            basis.append(tuple(comb.get(j, zero) for j in range(n_cols)))
+    return basis
+
+
+@st.composite
+def repeated_diagonal_matrices(draw):
+    """Triangular, Hessenberg, banded or dense matrices whose diagonal takes
+    at most three values, or a triangular one mixed into a dense one by
+    elementary integer similarities (row i += k row j, then column j -= k
+    column i), which keep its repeated eigenvalues.  Entries are small or
+    have numerators and denominators up to 2^64."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(F(0)), rationals(), huge_rationals)
+    values = draw(st.lists(st.one_of(rationals(), huge_rationals), min_size=1, max_size=3))
+    shape = draw(st.sampled_from(["triangular", "hessenberg", "banded", "dense", "similar"]))
+    below = {"hessenberg": 1, "banded": draw(st.integers(2, 3)), "dense": n}.get(shape, 0)
+    m = [[draw(st.sampled_from(values)) if i == j else draw(entry) if i - j <= below else F(0)
+          for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 3)) if shape == "similar" else 0):
+        i, j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(-3, 3))
+        if i != j:
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[j] -= k * row[i]
+    return m
+
+
+def _reduced_fractions(basis):
+    return all(type(x) is F and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+               for v in basis for x in v)
+
+
+@given(st.one_of(repeated_diagonal_matrices(), low_rank_matrices()), st.data())
+@example([[F(3), F(1), F(0)], [F(0), F(3), F(0)], [F(0), F(0), F(3)]], None)  # 3, twice free
+@example([[F(2**64, 3), F(1, 2**64 - 1)], [F(0), F(2**64, 3)]], None)
+@settings(max_examples=300, deadline=None)
+def test_pair_nullspace_equals_the_fraction_loop(m, data):
+    # the shift is a diagonal entry (on a triangular matrix, an eigenvalue)
+    # or any rational; rows of restrict and plain rows, integers as ints
+    if data is None:
+        shift = m[0][0]
+    elif data.draw(st.booleans(), label="on the diagonal"):
+        k = data.draw(st.integers(0, min(len(m), len(m[0])) - 1), label="diagonal entry")
+        shift = m[k][k]
+    else:
+        shift = data.draw(st.one_of(rationals(), huge_rationals), label="shift")
+    expected = _fraction_nullspace(m, shift)
+    plain = [[x.numerator if x.denominator == 1 else x for x in row] for row in m]
+    inputs = [plain] + ([spectra._Rows(_flag(m))] if len(m) == len(m[0]) else [])
+    for a in inputs:
+        basis = nullspace(a, shift)
+        assert basis == expected
+        assert _reduced_fractions(basis)
+
+
+def test_shapes_are_checked_once_and_still_refused():
+    ev = Eigenvalue.from_exact(F(1))
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[0, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="equal length"):
+            nullspace(rows)
+    for rows in ([[1, 2]], [[1, 2], [0]]):
+        with pytest.raises(ValueError, match="square"):
+            eigenvector(rows, ev)
+    m = restrict(HERMITE, Differential(), 3)
+    m.columns  # filled before the rows change shape
+    m[1].append(F(1))
+    with pytest.raises(ValueError, match="square"):
+        eigenvector(m, ev)
+    with pytest.raises(ValueError, match="equal length"):
+        nullspace(m)
 
 
 # -- isospectrality by the Fock-module certificate ---------------------------------

@@ -183,6 +183,17 @@ def test_roots_bad_tolerance():
         roots(CharPoly((F(-1), F(1))), tol=0)
 
 
+@pytest.mark.parametrize("c3, c5", [(F(2682789769231061330, 17), 3066921713896612),
+                                    (F(5365579538462154168, 17), 6133843427793260)])
+def test_unpaired_complex_roots_are_non_convergence(c3, c5):
+    # one real root near -c5 stops Durand-Kerner early, and the roots it picks
+    # as complex are no conjugate pairs; pairing them raised a bare ValueError
+    cp = CharPoly((F(0), F(-3499, 68), F(0), c3, F(3499, 68), F(c5), F(1)))
+    with pytest.raises(NonConvergenceError, match="conjugate pairs") as err:
+        roots(cp)
+    assert err.value.partial == (Eigenvalue.from_exact(F(0)),)
+
+
 def test_roots_ordering_exact_then_numeric():
     # (t + 5)(t^2 - 2)
     cp = CharPoly((F(-10), F(-2), F(5), F(1)))
