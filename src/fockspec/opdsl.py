@@ -271,11 +271,11 @@ def lower(
         if isinstance(node, Neg):
             return scale(-1, go(node.part))
         if isinstance(node, RationalLit):
-            return WeylElement({(0, 0): node.value})
+            return WeylElement._of({(0, 0): node.value})
         if isinstance(node, Param):
             if node.name not in binds:
                 raise UnboundParameterError(node.name, node.span)
-            return WeylElement({(0, 0): binds[node.name]})
+            return WeylElement._of({(0, 0): binds[node.name]})
         if isinstance(node, Gen):
             return make(1, *_GENERATORS[node.which], cap)
         raise TypeError(f"unexpected AST node {node!r}")

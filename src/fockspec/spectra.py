@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
 from .weyl import FlagMatrix, Rational, WeylElement, as_rational, flag_matrix
-from .weyl import horner, taylor_shift_one
+from .weyl import _fraction, horner, taylor_shift_one
 
 Matrix = List[List[Rational]]
 
@@ -145,14 +145,6 @@ def _sub(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
     t = an * (bd // g) - bn * s
     g2 = math.gcd(t, g)
     return t // g2, s * (bd // g2)
-
-
-def _fraction(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)`` of a reduced pair (``den > 0``) without a second
-    gcd; it relies on ``Fraction``'s private slots, unchanged in 3.10-3.13."""
-    x = object.__new__(Fraction)
-    x._numerator, x._denominator = num, den
-    return x
 
 
 # ---------------------------------------------------------------------------

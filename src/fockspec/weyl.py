@@ -8,7 +8,8 @@ with the closed formula
     a^j * b^i = sum_k  k! * C(i,k) * C(j,k) * b^(i-k) * a^(j-k),
 
 which the test suite validates against iterated rewriting of ``a*b`` into
-``b*a + 1``.
+``b*a + 1``.  A product sums these terms as integer numerators over one
+common denominator and reduces each coefficient once, to a ``Fraction``.
 
 The abstract state space is spanned by vectors ``b^k|0>`` with ``a|0> = 0``,
 so a monomial acts through the falling factorial:
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import comb, gcd, lcm
+from math import gcd, lcm
 import operator
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Tuple, Union
@@ -57,6 +58,14 @@ def as_rational(value: RationalLike) -> Rational:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` of a reduced pair (``den > 0``) without a second
+    gcd; it relies on ``Fraction``'s private slots, unchanged in 3.10-3.13."""
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = num, den
+    return x
 
 
 def falling(k: int, j: int) -> int:
@@ -117,11 +126,11 @@ class WeylElement:
 
     @classmethod
     def zero(cls) -> "WeylElement":
-        return cls()
+        return cls._of({})
 
     @classmethod
     def identity(cls) -> "WeylElement":
-        return cls({(0, 0): Fraction(1)})
+        return cls._of({(0, 0): Fraction(1)})
 
     # -- equality / hashing ------------------------------------------------
 
@@ -218,7 +227,9 @@ def make(coeff: RationalLike, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP) -> 
     for e in (i, j):
         if e > cap:
             raise DegreeOverflowError(e, cap)
-    return WeylElement({(i, j): coeff})
+    if i < 0 or j < 0:
+        raise ValueError(f"negative exponent ({i}, {j})")
+    return WeylElement._of({(i, j): as_rational(coeff)})
 
 
 def add(u: WeylElement, v: WeylElement) -> WeylElement:
@@ -237,24 +248,30 @@ def multiply(u: WeylElement, v: WeylElement, cap: int = DEFAULT_DEGREE_CAP) -> W
     """Exact normal form of the noncommutative product ``u * v``.
 
     Crossing the a-block of one term past the b-block of the next uses the
-    closed reordering formula; exponents beyond ``cap`` raise.
+    closed reordering formula; exponents beyond ``cap`` raise.  The terms
+    are summed in integers over one common denominator, each sum reduced once.
     """
-    acc: dict[TermKey, Fraction] = {}
+    du = lcm(*[c.denominator for c in u._terms.values()])
+    dv = lcm(*[c.denominator for c in v._terms.values()])
+    vs = [(i2, j2, c.numerator * (dv // c.denominator)) for (i2, j2), c in v._terms.items()]
+    acc: dict[TermKey, int] = {}
     for (i1, j1), c1 in u._terms.items():
-        for (i2, j2), c2 in v._terms.items():
+        n1 = c1.numerator * (du // c1.denominator)
+        for i2, j2, n2 in vs:
             if i1 + i2 > cap:
                 raise DegreeOverflowError(i1 + i2, cap)
             if j1 + j2 > cap:
                 raise DegreeOverflowError(j1 + j2, cap)
-            c12 = c1 * c2
-            kfact = 1
+            n12, t = n1 * n2, 1  # t = k! * C(j1, k) * C(i2, k)
             for k in range(min(j1, i2) + 1):
                 if k:
-                    kfact *= k
-                coeff = c12 * (kfact * comb(j1, k) * comb(i2, k))
+                    t = t * (j1 - k + 1) * (i2 - k + 1) // k
                 key = (i1 + i2 - k, j1 + j2 - k)
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-    return WeylElement._of(acc)
+                acc[key] = acc.get(key, 0) + n12 * t
+    d = du * dv
+    return WeylElement._of({
+        key: _fraction(x // (g := gcd(x, d)), d // g) for key, x in acc.items() if x
+    })
 
 
 def commutator(u: WeylElement, v: WeylElement, cap: int = DEFAULT_DEGREE_CAP) -> WeylElement:

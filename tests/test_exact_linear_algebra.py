@@ -1,7 +1,8 @@
 """The exact linear algebra of ``spectra`` against sympy: characteristic
 polynomials on any square rational matrix (Hessenberg or not), and the
-nullspace basis that reduced row echelon form defines; and the work an
-exact eigenvector of a banded flag matrix takes."""
+nullspace basis that reduced row echelon form defines; the work an exact
+eigenvector of a banded flag matrix takes; and the absence of ``Fraction``
+arithmetic from normal-ordered products."""
 
 import sys
 import time
@@ -11,10 +12,11 @@ import sympy
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from fockspec.catalog import hermite, laguerre
+from fockspec.catalog import hermite, laguerre, lame, sextic
 from fockspec.opdsl import lower, parse
 from fockspec.realizations import Differential
 from fockspec.spectra import Eigenvalue, char_poly, eigenvector, nullspace, restrict, spectrum
+from fockspec.weyl import multiply, power
 
 from exact_matrix import LATTICE_RESTRICTIONS, mat_vec
 from strategies import banded_matrices, low_rank_matrices
@@ -95,3 +97,20 @@ def test_exact_eigenvectors_of_banded_flag_matrices_walk_the_band():
         for k in (0, n // 2, n):
             ops = _fraction_operations(lambda: eigenvector(m, Eigenvalue.from_exact(F(k))))
             assert ops <= 10 * (n + 1), (k, ops)
+
+
+def test_products_and_powers_do_no_fraction_arithmetic():
+    # factors go to integer numerators over one denominator, and each
+    # coefficient of the product is reduced once to a Fraction built on its
+    # slots, so no Fraction operator runs
+    qes = lame(2, F(1, 3), 4).element
+    products = [
+        (hermite().element, laguerre(F(1, 3)).element),
+        (qes, sextic(F(7, 5), -2, 3).element),
+        (qes, qes),
+    ]
+    for u, v in products:
+        assert _fraction_operations(lambda: multiply(u, v)) == 0
+    for text, n in (("a+b-1", 24), ("b*a*b - 2*a^2 + 7/5*b^3*a", 3), ("a+b-1/3", 9)):
+        u = lower(parse(text), {})
+        assert _fraction_operations(lambda: power(u, n)) == 0

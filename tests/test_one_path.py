@@ -5,6 +5,8 @@ integer sums over the raising terms in one pass; the per-degree flag
 matrices and the per-column ``fock_apply`` scan and witness stay the
 reference.  ``add``, ``scale`` and ``multiply`` build their normal form
 without re-validation; the public constructor stays the reference.
+``multiply`` sums integer numerators over one common denominator; the
+``Fraction`` loop stays the reference.
 The differential realization is the Fock action itself; the generic
 monomial-basis assembly stays the reference.  Powers use square-and-multiply;
 the repeated product stays the reference.  Horner keeps the float operation
@@ -249,6 +251,55 @@ def test_normal_form_arithmetic_equals_the_public_constructor(u, v, c):
         # the same terms in the same order, so actions still raise at the same term
         assert list(got.terms.items()) == list(ref.terms.items())
         assert all(got.terms.values())
+
+
+def _fraction_multiply(u, v, cap):
+    """The product loop in ``Fraction`` arithmetic that the integer one replaced."""
+    acc = {}
+    for (i1, j1), c1 in u.terms.items():
+        for (i2, j2), c2 in v.terms.items():
+            if i1 + i2 > cap:
+                raise DegreeOverflowError(i1 + i2, cap)
+            if j1 + j2 > cap:
+                raise DegreeOverflowError(j1 + j2, cap)
+            c12 = c1 * c2
+            kfact = 1
+            for k in range(min(j1, i2) + 1):
+                if k:
+                    kfact *= k
+                coeff = c12 * (kfact * comb(j1, k) * comb(i2, k))
+                key = (i1 + i2 - k, j1 + j2 - k)
+                acc[key] = acc.get(key, F(0)) + coeff
+    return WeylElement._of(acc)
+
+
+def wide_weyl_elements(max_degree=5, max_terms=5):
+    """Elements whose coefficients are small or have numerators and
+    denominators of up to 30 digits."""
+    coeff = st.one_of(rationals(), rationals(10**30, 10**30), st.builds(F, st.integers(-99, 99)))
+    term = st.tuples(st.tuples(st.integers(0, max_degree), st.integers(0, max_degree)), coeff)
+    return st.builds(WeylElement, st.lists(term, max_size=max_terms))
+
+
+@given(wide_weyl_elements(), wide_weyl_elements(), st.sampled_from([3, 6, 64]))
+@example(WeylElement({(0, 1): F(1, 3)}), WeylElement({(1, 0): F(3, 1)}), 64)  # a*b: 1/3 * 3
+@example(WeylElement({(0, 1): 1, (1, 0): 1}), WeylElement({(0, 1): -1, (1, 0): 1}), 64)
+@example(WeylElement({(2, 5): F(10**30 + 1, 7), (4, 1): F(-2, 10**29)}),
+         WeylElement({(3, 2): F(7, 3), (1, 4): F(5, 10**30 + 1)}), 6)
+@settings(max_examples=300, deadline=None)
+def test_integer_product_equals_the_fraction_loop(u, v, cap):
+    try:
+        expected = _fraction_multiply(u, v, cap)
+    except DegreeOverflowError as e:
+        with pytest.raises(DegreeOverflowError) as got:
+            multiply(u, v, cap)
+        assert (got.value.exponent, got.value.cap) == (e.exponent, e.cap)
+        return
+    got = multiply(u, v, cap)
+    # the same terms in the same order, reduced over positive denominators
+    assert list(got._terms.items()) == list(expected._terms.items())
+    assert all(type(c) is F and c.denominator > 0 for c in got._terms.values())
+    assert all(gcd(c.numerator, c.denominator) == 1 for c in got._terms.values())
 
 
 def test_qes_closed_forms_are_shared():
@@ -1659,6 +1710,9 @@ def test_a_fiber_chain_that_drops_a_step_raises():
     with mock.patch.object(ComplexPlane, "act_b", staticmethod(dropping_act_b)):
         with pytest.raises(SingularBasisError, match=re.escape("fiber chain b^k(z^0)")):
             complex_fiber_matrix(HERMITE, 0, 4)
+        # isospectral_check raises it too
+        with pytest.raises(SingularBasisError, match=re.escape("fiber chain b^k(z^0)")):
+            isospectral_check(HERMITE, 4, [Differential(), ComplexPlane()])
 
 
 SEXTIC_Q_MINUS_ONE_ARGV = ["isospectral", "--op", "sextic", "--bind", "alpha=1", "--bind", "beta=0",

@@ -5,6 +5,7 @@ Two independent oracles are used here: reordering by repeated rewriting of
 differential action a = d/dx, b = x on monomials.
 """
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +103,18 @@ def test_make_rejects_cap_overflow():
     make(1, 5, 5, cap=5)
     with pytest.raises(DegreeOverflowError):
         make(1, 6, 0, cap=5)
+
+
+def test_make_keeps_the_constructor_checks():
+    for i, j in ((-1, 0), (2, -3)):
+        with pytest.raises(ValueError, match=re.escape(f"negative exponent ({i}, {j})")):
+            make(1, i, j)
+    with pytest.raises(TypeError):
+        make(True, 1, 0)
+    for c in (3, "-3/2", F(5, 7), 0):
+        u = make(c, 2, 1)
+        assert list(u.terms.items()) == list(WeylElement({(2, 1): c}).terms.items())
+        assert all(type(x) is F for x in u.terms.values())
 
 
 def test_add_cancels_to_zero():
