@@ -34,8 +34,6 @@ from .realizations import (
     QLattice,
     Realization,
     UniPoly,
-    act_a,
-    act_b,
     complex_act_a,
     complex_act_b,
     complex_fiber_matrix,

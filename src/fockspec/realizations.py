@@ -330,16 +330,6 @@ class ComplexPlane(Realization):
         return complex_fiber_matrix(u, self.m, n_max)
 
 
-def act_a(r: Realization, p: UniPoly) -> UniPoly:
-    """Apply the lowering generator of realization ``r`` to a polynomial."""
-    return r.act_a(p)
-
-
-def act_b(r: Realization, p: UniPoly) -> UniPoly:
-    """Apply the raising generator of realization ``r`` to a polynomial."""
-    return r.act_b(p)
-
-
 # ---------------------------------------------------------------------------
 # Matrix assembly
 # ---------------------------------------------------------------------------

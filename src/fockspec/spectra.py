@@ -9,9 +9,10 @@ are divided out to Fractions only when they are read.  Roots are found per
 square-free factor, scaled to a primitive integer polynomial: Descartes'
 rule of signs on integer Taylor shifts isolates the real roots, rational
 ones are read off their exact intervals, and every other real root is
-certified by an exact bracket of width at most ``tol`` (then
-Newton-polished in floats).  Durand-Kerner iteration finds complex pairs,
-certified by ``|p(z)| / (1 + max|coeff|)``.  Exact eigenvectors reduce
+certified by an exact bracket of width at most ``tol`` and reported as the
+float that both ends of the bracket round to, the one nearest to the root.
+Durand-Kerner iteration finds complex pairs, certified by
+``|p(z)| / (1 + max|coeff|)``.  Exact eigenvectors reduce
 the sparse columns of ``M - t I``, ``t`` taken off each diagonal entry as it
 is read (the rows of :func:`restrict` remember their flag matrix, so its
 columns are read once), with each entry a reduced integer pair combined by
@@ -162,9 +163,6 @@ class CharPoly(UniPoly):
             raise ValueError("characteristic polynomial must be monic")
         super().__init__(coeffs)
 
-    def eval_complex(self, z: complex) -> complex:
-        return horner([complex(c) for c in self.coeffs], z)
-
     def text(self, var: str = "t") -> str:
         """Readable form such as ``t^2 - 8`` (highest degree first)."""
         parts: List[str] = []
@@ -249,7 +247,9 @@ def char_poly(m: Union[Matrix, FlagMatrix]) -> CharPoly:
 @dataclass(frozen=True)
 class Eigenvalue:
     """A root: exact rational, or a float approximation with its residual
-    ``|p(x)| / (1 + max|coeff|)`` (the certificate of a complex root)."""
+    ``|p(x)| / (1 + max|coeff|)`` (the certificate of a complex root).  For
+    a real root ``re`` is the float nearest to it (infinite for an exact one
+    beyond float range)."""
 
     exact: Optional[Rational]
     re: float
@@ -258,7 +258,11 @@ class Eigenvalue:
 
     @classmethod
     def from_exact(cls, r: Rational) -> "Eigenvalue":
-        return cls(exact=r, re=float(r), im=0.0, residual=0.0)
+        try:
+            re = float(r)
+        except OverflowError:  # beyond the largest float, which rounds to infinity
+            re = math.inf if r > 0 else -math.inf
+        return cls(exact=r, re=re, im=0.0, residual=0.0)
 
     @classmethod
     def from_numeric(cls, re: float, im: float, residual: float) -> "Eigenvalue":
@@ -368,18 +372,21 @@ def _refine_real_root(
 ) -> Union[Fraction, Tuple[int, int, int]]:
     """Bisect the isolating interval ``(a/2^k, b/2^k)`` of a root of ``p``
     (``dp`` its derivative): the root itself if it is rational, else an
-    exact bracket ``(a, b, k)`` of width at most ``tol``.
+    exact bracket ``(a, b, k)`` of width at most ``tol`` whose ends round to
+    the same float, which is then the float nearest to the root.
 
     A rational root of the primitive ``p`` with leading coefficient ``l``
     is ``m/l`` for an integer ``m``, so once the interval is narrower than
     ``1/l`` it holds at most one such point and one exact sign test
-    decides it."""
+    decides it.  An irrational root lies on no rounding boundary (they are
+    dyadic), so the bisection to one float ends; one beyond float range
+    raises ``OverflowError``."""
     lead = p[-1]
     # sign of p just right of lo: of p'(lo) when lo is a recorded root
     left = _sign_at(p, a, 1 << k) or _sign_at(dp, a, 1 << k)
     tol_num, tol_den = Fraction(tol).as_integer_ratio()
     tested = False
-    while not (tested and (b - a) * tol_den <= tol_num << k):
+    while not (tested and (b - a) * tol_den <= tol_num << k and a / (1 << k) == b / (1 << k)):
         if not tested and (b - a) * lead < 1 << k:
             tested = True
             m = (a * lead >> k) + 1  # the one grid point m/l that can lie inside
@@ -392,25 +399,6 @@ def _refine_real_root(
             return Fraction(mid, 1 << k)
         a, b = (mid, 2 * b) if s == left else (2 * a, mid)
     return a, b, k
-
-
-def _newton_polish(fc: List[float], dc: List[float], a: int, b: int, k: int) -> float:
-    """Float Newton polish, on coefficients ``fc`` and derivative ``dc``, of a
-    root bracketed by ``(a/2^k, b/2^k)``; falls back to the bracket midpoint
-    if it leaves the bracket."""
-    x = mid = (a + b) / (1 << (k + 1))
-    for _ in range(8):
-        fx = horner(fc, x)
-        dfx = horner(dc, x)
-        if not dfx:
-            break
-        step = fx / dfx
-        if not math.isfinite(step):
-            break
-        x -= step
-        if abs(step) < 1e-17 * (1 + abs(x)):
-            break
-    return x if a / (1 << k) <= x <= b / (1 << k) else mid
 
 
 def _durand_kerner(p: UniPoly, tol: float, iter_cap: int) -> List[complex]:
@@ -447,9 +435,10 @@ def roots(
 
     Per square-free factor (Yun): rational roots are exact, read off the
     factor's exact isolating intervals; other real roots are certified by an
-    exact bracket of width at most ``tol``; complex pairs come from
-    Durand-Kerner iteration and are certified by the normalized residual
-    ``|p(z)| / (1 + max|coeff|)``, which every numeric root reports.
+    exact bracket of width at most ``tol`` and given as the float nearest to
+    the root; complex pairs come from Durand-Kerner iteration and are
+    certified by the normalized residual ``|p(z)| / (1 + max|coeff|)``, which
+    every numeric root reports.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -461,15 +450,13 @@ def roots(
         ints = _primitive(factor.numerators)
         dp = [d * c for d, c in enumerate(ints)][1:]
         rational, intervals = _isolate_real_roots(ints)
-        floats = None  # the factor's and its derivative's, once it has an irrational root
         n_complex = factor.degree - len(rational) - len(intervals)
         for a, b, k in intervals:
             found = _refine_real_root(ints, dp, a, b, k, tol)
             if isinstance(found, Fraction):
                 rational.append(found)
             else:
-                floats = floats or [[float(c) for c in f.coeffs] for f in (factor, factor.derivative())]
-                numeric.append((_newton_polish(*floats, *found), 0.0, mult))
+                numeric.append((found[0] / (1 << found[2]), 0.0, mult))
         exact_roots.extend(r for r in rational for _ in range(mult))
         if n_complex:
             rest = factor

@@ -587,10 +587,6 @@ class FlagMatrix:
     def is_upper_triangular(self) -> bool:
         return all(col.degree <= k for k, col in enumerate(self.columns))
 
-    def to_rows(self) -> list[list[Rational]]:
-        """Mutable copy for downstream exact linear algebra."""
-        return [list(row) for row in self.entries]
-
 
 def flag_matrix(u: WeylElement, n_max: int, cap: int = DEFAULT_DEGREE_CAP) -> FlagMatrix:
     """Matrix of ``u`` on the basis ``{b^k|0>, k = 0..n_max}``.

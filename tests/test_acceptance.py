@@ -42,7 +42,9 @@ from fockspec.solvability import (
     qes_leakage_residuals,
 )
 from fockspec.spectra import char_poly, eigenvector, isospectral_check, restrict, roots
-from fockspec.weyl import WeylElement, commutator, eval_poly_in_L0, flag_matrix, make, multiply
+from fockspec.weyl import (
+    WeylElement, commutator, eval_poly_in_L0, flag_matrix, horner, make, multiply,
+)
 
 from schrodinger_oracle import schrodinger_energies
 
@@ -192,6 +194,10 @@ def test_criterion_06_lame():
         assert report.entries[0][1].degree == 4
 
 
+def _eval_complex(cp, z):
+    return horner([complex(c) for c in cp.coeffs], z)
+
+
 def test_criterion_07_sextic():
     with criterion(7, "sextic: t^2 - 8, +/-2*sqrt(2), n=2 isospectral"):
         m1 = restrict(sextic(1, 0, 1).element, Differential(), 1)
@@ -201,13 +207,13 @@ def test_criterion_07_sextic():
         target = 2 * math.sqrt(2)
         assert abs(evs[0].re + target) <= 1e-12
         assert abs(evs[1].re - target) <= 1e-12
-        assert all(abs(cp.eval_complex(complex(e.re, e.im))) <= 1e-10 for e in evs)
+        assert all(abs(_eval_complex(cp, complex(e.re, e.im))) <= 1e-10 for e in evs)
         report = isospectral_check(sextic(1, 0, 2).element, 2, [*UNIVARIATE, ComplexPlane()])
         assert report.all_equal
         assert report.entries[0][1].degree == 3
         n2 = roots(report.entries[0][1])
         assert all(
-            abs(report.entries[0][1].eval_complex(complex(e.re, e.im))) <= 1e-10
+            abs(_eval_complex(report.entries[0][1], complex(e.re, e.im))) <= 1e-10
             for e in n2
         )
 

@@ -9,7 +9,7 @@ EXPORTED = (
     "DeltaLattice", "Differential", "Eigenvalue", "FlagMatrix", "FockVector",
     "IsospectralReport", "LeakageError", "NonConvergenceError", "ParseError",
     "QESCoeffs", "QLattice", "Rational", "Realization", "SolvabilityReport",
-    "Spectrum", "UnboundParameterError", "UniPoly", "WeylElement", "act_a", "act_b",
+    "Spectrum", "UnboundParameterError", "UniPoly", "WeylElement",
     "add", "as_rational", "canonical_text", "char_poly", "classify", "commutator",
     "complex_act_a", "complex_act_b", "complex_fiber_matrix", "eigenvector",
     "es_diagonal", "eval_poly_in_L0", "falling", "flag_matrix", "fock_apply",

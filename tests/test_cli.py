@@ -392,9 +392,23 @@ def test_correct_numeric_spectra_are_certified(op, binds, n):
 
 
 def test_float_overflow_exits_4():
-    code, payload = run_json("spectrum", "--expr", "1" + "0" * 400 + "*b*a + a", "--n", "1")
+    # t^2 - 2*10^800: the irrational roots +-sqrt(2)*10^400 have no float
+    code, payload = run_json("spectrum", "--expr", "2*10^800*a + b - b^2*a", "--n", "1")
     assert code == 4
     assert "too large" in payload["diagnostics"][0]
+
+
+@pytest.mark.parametrize(
+    "expr, n",
+    [("b*a - 10^400", 1), ("b*a*b*a - 10^400", 2), ("1" + "0" * 400 + "*b*a + a", 1)],
+    ids=["shifted-number", "number-squared", "huge-coefficient"],
+)
+def test_exact_eigenvalues_beyond_float_range_exit_0(expr, n):
+    # an exact eigenvalue prints as "p/q" and needs no float
+    code, payload = run_json("spectrum", "--expr", expr, "--n", str(n))
+    assert code == 0
+    assert all("exact" in p["eigenvalue"] for p in payload["result"]["eigenpairs"])
+    assert any(len(p["eigenvalue"]["exact"]) > 400 for p in payload["result"]["eigenpairs"])
 
 
 @pytest.mark.parametrize("expr, canonical", [("1^100000000", "1"), ("(a - a)^100000000", "0")])

@@ -38,10 +38,13 @@ q-numbers and the ``Fraction`` similarity and recurrence stay the reference.
 ``isospectral_check`` takes one characteristic polynomial, of the Fock flag
 matrix, and reports it for every space whose b-chain passes the Fock-module
 check; every space assembled and its own polynomial taken stays the
-reference, and mutant realizations must fall back to it or raise.
+reference, and mutant realizations must fall back to it or raise.  A real
+irrational root prints the float nearest to it: the rounding cell of the
+printed float holds exactly one root by the Sturm count.
 """
 
 import io
+import math
 import re
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
@@ -105,6 +108,7 @@ from fockspec.weyl import (
     falling,
     flag_matrix,
     fock_apply,
+    horner,
     make,
     multiply,
     power,
@@ -382,10 +386,10 @@ def test_eval_complex_keeps_the_float_operation_order():
     cp = char_poly(restrict(sextic(-1, 0, 4).element, Differential(), 4))
     for k in range(-6, 7):
         z = complex(0.37 * k, -0.71 * k + 0.1)
-        acc = 0j  # the loop eval_complex had before it shared Horner
+        acc = 0j  # the float operation order of the complex residual in ``roots``
         for c in reversed(cp.coeffs):
             acc = acc * z + complex(c)
-        assert cp.eval_complex(z) == acc
+        assert horner([complex(c) for c in cp.coeffs], z) == acc
         assert cp(F(k, 3)) == sum(c * F(k, 3) ** d for d, c in enumerate(cp.coeffs))
     # Horner starts from the integer 0; a rational value is still a Fraction
     assert all(type(FockVector(c)(F(1, 3))) is F for c in ([], [F(0)], [F(2)], [F(1, 2), F(3)]))
@@ -1268,6 +1272,55 @@ def test_roots_equal_the_sturm_reference(coeffs):
     assert _outcome(p) == expected
 
 
+def _rounding_cell(x):
+    """The open interval of the reals that round to the float ``x`` (ends
+    halfway to its neighbours), as numerators over ``2^k``."""
+    lo = (F(math.nextafter(x, -math.inf)) + F(x)) / 2
+    hi = (F(x) + F(math.nextafter(x, math.inf))) / 2
+    k = max(lo.denominator, hi.denominator).bit_length() - 1
+    return int(lo * (1 << k)), int(hi * (1 << k)), k
+
+
+def _assert_real_roots_correctly_rounded(p):
+    """Every real irrational root of ``p`` prints a float whose rounding
+    cell holds exactly one root of ``p`` (by the Sturm count)."""
+    try:
+        evs = roots(p)
+    except NonConvergenceError:
+        return  # no float is printed
+    ints = _primitive(p.numerators)
+    for ev in evs:
+        if not ev.is_exact and not ev.im:
+            assert _roots_in(ints, *_rounding_cell(ev.re)) == 1, ev.re
+
+
+@st.composite
+def qes_restrictions(draw):
+    """Lame(m, d) or sextic(alpha, beta), whose real eigenvalues are mostly
+    irrational, at n <= 16 on one of the four realizations."""
+    op = draw(st.sampled_from([lame, sextic]))
+    r = draw(st.sampled_from(
+        [Differential(), DeltaLattice(F(1, 3)), QLattice(F(1, 2)), ComplexPlane()]
+    ))
+    n = draw(st.integers(1, 16))
+    return restrict(op(draw(rationals()), draw(rationals()), n).element, r, n)
+
+
+@given(real_root_products().filter(lambda c: len(c) > 1))
+@example(_times([F(-2), F(0), F(1)], [F(-32), F(1)]))  # +-sqrt 2 and 32
+@settings(max_examples=150, deadline=None)
+def test_real_roots_print_the_nearest_float(coeffs):
+    _assert_real_roots_correctly_rounded(CharPoly(tuple(coeffs)))
+
+
+@given(qes_restrictions())
+@example(restrict(lame(2, 1, 3).element, Differential(), 3))
+@example(restrict(sextic(1, 1, 16).element, QLattice(F(1, 2)), 16))
+@settings(max_examples=40, deadline=None)
+def test_catalog_real_roots_print_the_nearest_float(m):
+    _assert_real_roots_correctly_rounded(char_poly(m))
+
+
 # -- exact nullspaces ----------------------------------------------------------------
 
 
@@ -1639,7 +1692,7 @@ def test_lattice_matrix_intertwines_the_fock_flag_matrix(case, r):
         return
     t = _fock_chain_change(r, n)
     m = restrict(u, r, n)
-    assert _matmul(m, t) == _matmul(t, fock.to_rows())
+    assert _matmul(m, t) == _matmul(t, fock.entries)
     chain = r.fock_chain(u, n)
     assert [list(e.coeffs) + [F(0)] * (n - e.degree) for e in chain[:n + 1]] == [
         list(col) for col in zip(*t)

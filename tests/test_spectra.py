@@ -100,7 +100,7 @@ def test_char_poly_lame_trace_determinant():
 def test_char_poly_matches_trace_and_determinant(u, n):
     from fockspec.weyl import flag_matrix
 
-    m = flag_matrix(u, n).to_rows()
+    m = [list(row) for row in flag_matrix(u, n).entries]
     cp = char_poly(m)
     trace = sum(m[i][i] for i in range(n + 1))
     assert cp.coeffs[-2] == -trace  # sum of eigenvalues
