@@ -5,20 +5,22 @@ rational matrices kept as integer columns (``FlagMatrix``), and an integer
 similarity to upper Hessenberg form (which they already have, since they
 raise the degree of ``b^k|0>`` by at most one) gives the characteristic
 polynomial by the leading-minor recurrence, in integers; its coefficients
-are divided out to Fractions only when they are read.  Roots are found per
-square-free factor, scaled to a primitive integer polynomial: Descartes'
-rule of signs on integer Taylor shifts isolates the real roots, rational
-ones are read off their exact intervals, and every other real root is
-certified by an exact bracket of width at most ``tol`` and reported as the
-float that both ends of the bracket round to, the one nearest to the root.
-Durand-Kerner iteration finds complex pairs, certified by
-``|p(z)| / (1 + max|coeff|)``.  Exact eigenvectors reduce
-the sparse columns of ``M - t I``, ``t`` taken off each diagonal entry as it
-is read (the rows of :func:`restrict` remember their flag matrix, so its
-columns are read once), with each entry a reduced integer pair combined by
-``Fraction``'s own gcd-saving formulas; numeric ones come from banded
-inverse iteration in floats, each accepted by its backward error for the
-exact matrix, evaluated in integers.
+are divided out to Fractions only when they are read.  Roots: the diagonal
+entries that are roots divide out first, and the rest splits into
+square-free factors (Yun's, unless a gcd mod a prime proves it square-free),
+each a primitive integer polynomial.  Descartes' rule of signs on integer
+Taylor shifts isolates the real roots, quadratic interval refinement on
+dyadic points narrows them, rational ones are read off their exact
+intervals, and every other real root is certified by an exact bracket of
+width at most ``tol`` and reported as the float that both ends of the
+bracket round to, the one nearest to the root.  Durand-Kerner iteration
+finds complex pairs, certified by ``|p(z)| / (1 + max|coeff|)``.  Exact
+eigenvectors reduce the sparse columns of ``M - t I``, ``t`` taken off each
+diagonal entry as it is read (the rows of :func:`restrict` remember their
+flag matrix, so its columns are read once), with each entry a reduced
+integer pair combined by ``Fraction``'s own gcd-saving formulas; numeric
+ones come from banded inverse iteration in floats, each accepted by its
+backward error for the exact matrix, evaluated in integers.
 
 Cross-realization isospectrality is proved, not recomputed: a realization
 whose b-chain passes the Fock-module check has the Fock flag matrix's polynomial.
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .realizations import ComplexPlane, Realization, UniPoly, realize_matrix
@@ -40,6 +43,7 @@ Matrix = List[List[Rational]]
 
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_ITER_CAP = 500
+_P = (1 << 61) - 1  # the prime of the square-free certificate
 
 
 class LeakageError(Exception):
@@ -283,9 +287,26 @@ def _poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def _square_free_decomposition(p: UniPoly):
-    """Yun's algorithm: yields (factor, multiplicity), factors monic."""
+    """Yun's algorithm: yields (factor, multiplicity), factors monic; just
+    ``(p, 1)`` if ``gcd(p, p') = 1`` over GF(_P) and _P does not divide the
+    leading coefficient of the primitive ``p``: a square factor would divide
+    both mod _P with its degree (W. S. Brown, J. ACM 18 (1971) 478)."""
     p = p.monic()
     if p.degree <= 0:
+        return
+    ints = _primitive(p.numerators)
+    f, g = [c % _P for c in ints], [i * c % _P for i, c in enumerate(ints)][1:]
+    while any(g):
+        while not g[-1]:
+            g.pop()
+        inv = pow(g[-1], -1, _P)
+        while len(f) >= len(g):  # f mod g: cancel the top term, then drop it
+            q = f.pop() * inv % _P
+            for t in range(1, len(g)):
+                f[-t] = (f[-t] - q * g[-1 - t]) % _P
+        f, g = g, f
+    if ints[-1] % _P and len(f) == 1:
+        yield p, 1
         return
     dp = p.derivative()
     g = _poly_gcd(p, dp)
@@ -309,14 +330,21 @@ def _primitive(ints: Sequence[int]) -> List[int]:
     return [c // g for c in ints]
 
 
-def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Sign of an integer polynomial at ``num/den`` (``den > 0``): the sign
-    of the homogeneous form ``sum c_i num^i den^(d-i)``, by Horner."""
-    acc, scale = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
+def _value_at(coeffs: Sequence[int], num: int, den: int) -> int:
+    """``den^d`` times an integer polynomial at ``num/den`` (``den > 0``), of
+    its sign there: ``sum c_i num^i den^(d-i)`` by Horner, by shifts when
+    ``den`` is a power of two."""
+    acc = 0
+    if den & (den - 1):
+        scale = 1
+        for c in reversed(coeffs):
+            acc = acc * num + c * scale
+            scale *= den
+    else:
+        k = den.bit_length() - 1
+        for i, c in enumerate(reversed(coeffs)):
+            acc = acc * num + (c << k * i)
+    return acc
 
 
 def _isolate_real_roots(
@@ -370,34 +398,51 @@ def _isolate_real_roots(
 def _refine_real_root(
     p: Sequence[int], dp: Sequence[int], a: int, b: int, k: int, tol: float
 ) -> Union[Fraction, Tuple[int, int, int]]:
-    """Bisect the isolating interval ``(a/2^k, b/2^k)`` of a root of ``p``
-    (``dp`` its derivative): the root itself if it is rational, else an
-    exact bracket ``(a, b, k)`` of width at most ``tol`` whose ends round to
-    the same float, which is then the float nearest to the root.
-
-    A rational root of the primitive ``p`` with leading coefficient ``l``
-    is ``m/l`` for an integer ``m``, so once the interval is narrower than
-    ``1/l`` it holds at most one such point and one exact sign test
-    decides it.  An irrational root lies on no rounding boundary (they are
-    dyadic), so the bisection to one float ends; one beyond float range
-    raises ``OverflowError``."""
-    lead = p[-1]
-    # sign of p just right of lo: of p'(lo) when lo is a recorded root
-    left = _sign_at(p, a, 1 << k) or _sign_at(dp, a, 1 << k)
+    """Refine the isolating interval ``(a/2^k, b/2^k)`` of a root of ``p``
+    (``dp`` its derivative) to the root if it is rational, else to an exact
+    bracket ``(a, b, k)`` at most ``tol`` wide whose ends round to one float,
+    the float nearest to the root.  Quadratic interval refinement (J.
+    Abbott, ACM Commun. Comput. Algebra 48 (2014)): a step splits the
+    interval into ``N = 2^e`` parts and tests ``p`` at the point ``j``
+    (clamped to ``1..N-1``) where the secant through the values at the ends
+    meets zero, then at the next point on the root's side.  If the root is
+    in that one part it is the new interval and ``e`` doubles; else the side
+    learned is kept and ``e`` halves, to 1 (a bisection).  An end where
+    ``p`` is zero is a recorded root, never this one, and takes no secant.
+    A rational root of the primitive ``p`` is ``m/l``, ``l`` its leading
+    coefficient, so once the interval is narrower than ``1/l`` one exact
+    sign test decides it.  An irrational root lies on no (dyadic) rounding
+    boundary, so the refinement ends; one beyond float range raises
+    ``OverflowError``."""
+    lead, d, e = p[-1], len(p) - 1, 1
+    va, vb = _value_at(p, a, 1 << k), _value_at(p, b, 1 << k)
+    # whether p is positive just right of a: p'(a) is when a is a recorded root
+    up = va > 0 if va else _value_at(dp, a, 1 << k) > 0
     tol_num, tol_den = Fraction(tol).as_integer_ratio()
     tested = False
     while not (tested and (b - a) * tol_den <= tol_num << k and a / (1 << k) == b / (1 << k)):
         if not tested and (b - a) * lead < 1 << k:
             tested = True
             m = (a * lead >> k) + 1  # the one grid point m/l that can lie inside
-            if m << k < b * lead and not _sign_at(p, m, lead):
+            if m << k < b * lead and not _value_at(p, m, lead):
                 return Fraction(m, lead)
             continue
-        mid, k = a + b, k + 1
-        s = _sign_at(p, mid, 1 << k)
-        if not s:
-            return Fraction(mid, 1 << k)
-        a, b = (mid, 2 * b) if s == left else (2 * a, mid)
+        e = e if va and vb else 1  # j = round(N va / (va - vb)) in 1..N-1; at e = 1, a bisection
+        j = 1 if e == 1 else min(max((((2 << e) + 1) * va - vb) // (2 * (va - vb)), 1),
+                                 (1 << e) - 1)
+        w, k = b - a, k + e
+        a, b, va, vb = a << e, b << e, va << e * d, vb << e * d
+        x = a + j * w
+        for _ in range(2):  # x, then its neighbour on the root's side unless that is an end
+            if not (v := _value_at(p, x, 1 << k)):
+                return Fraction(x, 1 << k)
+            if (v > 0) == up:  # the root is right of x
+                a, va, x = x, v, x + w
+            else:
+                b, vb, x = x, v, x - w
+            if b - a == w:
+                break
+        e = 2 * e if b - a == w else max(e // 2, 1)
     return a, b, k
 
 
@@ -429,24 +474,33 @@ def _durand_kerner(p: UniPoly, tol: float, iter_cap: int) -> List[complex]:
 
 
 def roots(
-    p: CharPoly, tol: float = DEFAULT_ROOT_TOL, iter_cap: int = DEFAULT_ITER_CAP
+    p: CharPoly, tol: float = DEFAULT_ROOT_TOL, iter_cap: int = DEFAULT_ITER_CAP,
+    candidates: Sequence[Rational] = (),
 ) -> List[Eigenvalue]:
     """All roots of ``p`` as a multiset (list length equals the degree).
 
-    Per square-free factor (Yun): rational roots are exact, read off the
+    Each distinct candidate, such as a diagonal entry of the matrix, is
+    divided out of the primitive integer ``p`` while it is a root.  Per
+    square-free factor of the rest: rational roots are exact, read off the
     factor's exact isolating intervals; other real roots are certified by an
     exact bracket of width at most ``tol`` and given as the float nearest to
     the root; complex pairs come from Durand-Kerner iteration and are
     certified by the normalized residual ``|p(z)| / (1 + max|coeff|)``, which
-    every numeric root reports.
-    """
+    every numeric root reports (a real root's exact one, rounded, if the
+    float one overflows)."""
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     if p.degree == 0:
         return []
     exact_roots: List[Rational] = []
     numeric: List[Tuple[float, float, int]] = []  # (re, im, multiplicity)
-    for factor, mult in _square_free_decomposition(p):
+    ints = _primitive(p.numerators)
+    for r in dict.fromkeys(map(as_rational, candidates)):
+        m, q = r.numerator, r.denominator
+        while len(ints) > 1 and not _value_at(ints, m, q):  # divide by q t - m, from the top
+            ints = [*accumulate(ints[:0:-1], lambda s, c: (c + m * s) // q, initial=0)][:0:-1]
+            exact_roots.append(r)
+    for factor, mult in _square_free_decomposition(UniPoly._of(tuple(ints), 1)):
         ints = _primitive(factor.numerators)
         dp = [d * c for d, c in enumerate(ints)][1:]
         rational, intervals = _isolate_real_roots(ints)
@@ -483,11 +537,17 @@ def roots(
                 numeric.append((re, im, mult))
                 numeric.append((re, -im, mult))
     out = [Eigenvalue.from_exact(r) for r in sorted(exact_roots)]
-    # complex() of a large coefficient overflows; only numeric roots need it
-    coeffs = [complex(c) for c in p.coeffs] if numeric else []
+    try:  # complex() of a coefficient beyond float range overflows
+        coeffs = [complex(c) for c in p.coeffs] if numeric else []
+    except OverflowError:  # then a complex root fails its certificate
+        coeffs = []
     scale = 1 + max((abs(c.real) for c in coeffs), default=0.0)
     for re, im, mult in sorted(numeric, key=lambda t: (t[0], t[1])):
-        residual = abs(horner(coeffs, complex(re, im))) / scale
+        residual = abs(horner(coeffs, complex(re, im))) / scale if coeffs else math.inf
+        if not (im or math.isfinite(residual)):  # exactly, at the dyadic float re
+            num, den = re.as_integer_ratio()
+            top = p._den + max(map(abs, p.numerators))
+            residual = abs(_value_at(p.numerators, num, den)) / (den ** p.degree * top)
         if im and residual > tol:
             raise NonConvergenceError(
                 f"root {re}+{im}j failed residual certification "
@@ -594,7 +654,7 @@ def spectrum(
     pair eigenvalues with eigenvector coefficients."""
     matrix = restrict(u, r, n)
     cp = char_poly(matrix.flag)
-    evs = dict.fromkeys(roots(cp, tol=tol, iter_cap=iter_cap))  # one eigenvector set per eigenvalue
+    evs = dict.fromkeys(roots(cp, tol, iter_cap, matrix.flag.diagonal()))  # one set per eigenvalue
     pairs = tuple((ev, vec) for ev in evs for vec in eigenvector(matrix, ev, tol=tol))
     return Spectrum(operator=operator_label, realization=r.label, degree=n, char_poly=cp,
                     eigenpairs=pairs)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -396,6 +397,28 @@ def test_float_overflow_exits_4():
     code, payload = run_json("spectrum", "--expr", "2*10^800*a + b - b^2*a", "--n", "1")
     assert code == 4
     assert "too large" in payload["diagnostics"][0]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [("1099511627777/3", 32), ("1099511627777/3", 64), ("1048577/3", 64)],
+    ids=["2^40+1,32", "2^40+1,64", "2^20+1,64"],
+)
+def test_real_residuals_beyond_float_coefficients_exit_0(m, n):
+    # Lame(p/3, 1, n), p = 2^h + 1: characteristic polynomial coefficients
+    # beyond float range, every real root certified by its exact bracket; the
+    # residual is then evaluated exactly at the float, so the output is
+    # finite, valid JSON
+    code, text = run_cli("spectrum", "--op", "lame", "--bind", f"m={m}", "--bind", "d=1",
+                         "--bind", f"n={n}", "--n", str(n))
+    assert code == 0, text[-300:]
+    payload = json.loads(text, parse_constant=_refuse_constant)
+    residuals = [p["eigenvalue"]["residual"] for p in payload["result"]["eigenpairs"]]
+    assert len(residuals) == n + 1 and all(math.isfinite(r) for r in residuals)
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,13 @@ matrix, and reports it for every space whose b-chain passes the Fock-module
 check; every space assembled and its own polynomial taken stays the
 reference, and mutant realizations must fall back to it or raise.  A real
 irrational root prints the float nearest to it: the rounding cell of the
-printed float holds exactly one root by the Sturm count.
+printed float holds exactly one root by the Sturm count.  Real roots are
+refined by quadratic interval refinement, evaluating no point twice; the
+bisection stays the reference.  Polynomials are evaluated at dyadic points
+by shifts; the ``Fraction`` evaluation stays the reference.  A gcd mod
+``2^61 - 1`` skips Yun's algorithm on square-free input; Yun's algorithm
+stays the reference.  Candidate roots divide out first; ``roots`` without
+candidates stays the reference.
 """
 
 import io
@@ -91,7 +97,7 @@ from fockspec.spectra import (
     NonConvergenceError,
     _isolate_real_roots,
     _primitive,
-    _sign_at,
+    _value_at,
     char_poly,
     eigenvector,
     isospectral_check,
@@ -1099,6 +1105,11 @@ def _sturm_chain(a, b):
     return chain
 
 
+def _sign_at(p, num, den):
+    v = _value_at(p, num, den)
+    return (v > 0) - (v < 0)
+
+
 def _variations(chain, num, den):
     """Sign variations of the chain at ``num/den``, and whether that point
     is a root of ``chain[0]``."""
@@ -1319,6 +1330,180 @@ def test_real_roots_print_the_nearest_float(coeffs):
 @settings(max_examples=40, deadline=None)
 def test_catalog_real_roots_print_the_nearest_float(m):
     _assert_real_roots_correctly_rounded(char_poly(m))
+
+
+def _bisection_refine(p, dp, a, b, k, tol):
+    """The bisection that quadratic interval refinement replaced, verbatim
+    but for the sign reader."""
+    lead = p[-1]
+    # sign of p just right of lo: of p'(lo) when lo is a recorded root
+    left = _sign_at(p, a, 1 << k) or _sign_at(dp, a, 1 << k)
+    tol_num, tol_den = F(tol).as_integer_ratio()
+    tested = False
+    while not (tested and (b - a) * tol_den <= tol_num << k and a / (1 << k) == b / (1 << k)):
+        if not tested and (b - a) * lead < 1 << k:
+            tested = True
+            m = (a * lead >> k) + 1  # the one grid point m/l that can lie inside
+            if m << k < b * lead and not _sign_at(p, m, lead):
+                return F(m, lead)
+            continue
+        mid, k = a + b, k + 1
+        s = _sign_at(p, mid, 1 << k)
+        if not s:
+            return F(mid, 1 << k)
+        a, b = (mid, 2 * b) if s == left else (2 * a, mid)
+    return a, b, k
+
+
+def _integer_product(factors):
+    """The primitive integer polynomial of a product of rational factors."""
+    coeffs = [F(1)]
+    for factor in factors:
+        coeffs = _times(coeffs, factor)
+    return _primitive(FockVector(tuple(coeffs)).numerators)
+
+
+#: rational roots up to height 2^64
+high_roots = st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+@st.composite
+def planted_root_polynomials(draw):
+    """Square-free primitive integer polynomials of degree at least 1:
+    distinct rational roots up to height 2^64, with dyadic ones drawn often
+    (isolation records those, often at the end of a neighbour's interval),
+    times distinct irreducible quadratics (real surd pairs or complex)."""
+    linear = draw(st.lists(st.one_of(dyadic_roots, high_roots, rationals(99, 16)),
+                           max_size=4, unique=True))
+    quadratic = draw(st.lists(
+        st.tuples(rationals(9, 4), rationals(9, 4)).filter(lambda bc: _irreducible(*bc)),
+        min_size=0 if linear else 1, max_size=2, unique=True,
+    ))
+    return _integer_product([(-r, 1) for r in linear] + [(c, b, 1) for b, c in quadratic])
+
+
+#: 0 and 1/2 are recorded roots at both ends of the interval (0, 1/2) of 1/3
+ENDS_ARE_ROOTS = _integer_product([(0, 1), (F(-1, 2), 1), (F(-1, 3), 1), (-2, 0, 1)])
+
+
+@given(planted_root_polynomials(), st.sampled_from([1e-12, 2.0**-20, 1.0]))
+@example(ENDS_ARE_ROOTS, 1e-12)
+@example(_integer_product([(F(-(2**64 - 1), 2**64 - 59), 1), (-2, 0, 1)]), 1e-12)
+@settings(max_examples=200, deadline=None)
+def test_quadratic_refinement_equals_the_bisection(p, tol):
+    # the same rational root or the same float, and no point evaluated twice
+    dp = [d * c for d, c in enumerate(p)][1:]
+    points = []
+
+    def spy(coeffs, num, den):
+        if coeffs is p:
+            points.append(F(num, den))
+        return _value_at(coeffs, num, den)
+
+    for a, b, k in _isolate_real_roots(p)[1]:
+        expected = _bisection_refine(p, dp, a, b, k, tol)
+        points.clear()
+        with mock.patch.object(spectra, "_value_at", spy):
+            found = spectra._refine_real_root(p, dp, a, b, k, tol)
+        if isinstance(expected, F):
+            assert found == expected
+        else:
+            assert not isinstance(found, F)
+            assert found[0] / (1 << found[2]) == expected[0] / (1 << expected[2])
+        assert len(points) == len(set(points)), points
+
+
+@given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8),
+       st.integers(-(2**70), 2**70),
+       st.one_of(st.integers(0, 90).map(lambda k: 1 << k), st.integers(1, 2**70)))
+@example([3, 0, -1], 7, 1 << 64)
+@settings(max_examples=300, deadline=None)
+def test_homogeneous_value_equals_the_fraction_evaluation(coeffs, num, den):
+    # by shifts for a power of two, by products otherwise; so also its sign
+    d = len(coeffs) - 1
+    exact = sum(c * F(num, den) ** i for i, c in enumerate(coeffs))
+    assert _value_at(coeffs, num, den) == exact * den**d
+
+
+def _yun(p):
+    """Yun's algorithm as it ran before the modular square-free certificate."""
+    p = p.monic()
+    if p.degree <= 0:
+        return
+    dp = p.derivative()
+    g = spectra._poly_gcd(p, dp)
+    c = divmod(p, g)[0]
+    d = divmod(dp, g)[0] - c.derivative()
+    mult = 1
+    while c.degree > 0:
+        f = spectra._poly_gcd(c, d)
+        if f.degree > 0:
+            yield (f, mult)
+        c = divmod(c, f)[0]
+        d = divmod(d, f)[0] - c.derivative()
+        mult += 1
+
+
+P61 = 2**61 - 1
+#: leading coefficients of a planted square factor, multiples of 2^61 - 1 among them
+square_leads = st.sampled_from([1, -1, 2, 3, P61, -P61, 2 * P61, P61 * P61])
+
+
+@given(square_leads, st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=2),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any), st.booleans())
+@example(P61, [1], [-2, 0, 1], True)  # (P t + 1)^2 (t^2 - 2): square-free mod P
+@example(3, [1], [-2, 0, 1], True)
+@settings(max_examples=300, deadline=None)
+def test_square_free_certificate_passes_no_planted_square(lead, low, other, squared):
+    # f = lead t^len(low) + low, times itself when squared, times another
+    # factor: the decomposition is Yun's, so a planted square is never passed
+    f = [F(c) for c in low] + [F(lead)]
+    p = FockVector(tuple(_times(_times(f, f) if squared else f, [F(c) for c in other])))
+    found = list(spectra._square_free_decomposition(p))
+    assert found == list(_yun(p))
+    if squared:
+        assert max(mult for _, mult in found) >= 2
+
+
+@st.composite
+def candidate_cases(draw):
+    """A polynomial with rational roots of multiplicity up to 3 (times an
+    irreducible quadratic, maybe), and candidates: its roots, duplicates,
+    0 and non-roots, in any order."""
+    planted = draw(st.lists(st.one_of(st.just(F(0)), dyadic_roots, rationals(99, 16)),
+                            min_size=1, max_size=4, unique=True))
+    factors = [(-r, 1) for r in planted for _ in range(draw(st.integers(1, 3)))]
+    factors += draw(st.lists(
+        st.tuples(rationals(9, 4), rationals(9, 4)).filter(lambda bc: _irreducible(*bc))
+        .map(lambda bc: (bc[1], bc[0], 1)), max_size=1))
+    coeffs = [F(1)]
+    for factor in factors:
+        coeffs = _times(coeffs, factor)
+    extra = draw(st.lists(st.one_of(st.sampled_from(planted), rationals(99, 16)), max_size=4))
+    return CharPoly(tuple(coeffs)), draw(st.permutations(planted + extra + [F(0)]))
+
+
+def _roots_or_error(p, candidates=()):
+    try:
+        return repr(roots(p, candidates=candidates))
+    except NonConvergenceError as err:  # its partial list may hold the candidates found
+        return f"NonConvergenceError({err})"
+
+
+@given(candidate_cases())
+@example((CharPoly(tuple(_times(_times([F(-2), F(1)], [F(-2), F(1)]), [F(-2), F(1)]))),
+          [F(2), F(2), F(0), F(5)]))  # (t - 2)^3
+@settings(max_examples=200, deadline=None)
+def test_candidates_change_no_root(case):
+    # roots(p, candidates=c) is roots(p), and every candidate root is divided
+    # out with its multiplicity before the square-free decomposition
+    p, candidates = case
+    with mock.patch.object(spectra, "_square_free_decomposition",
+                           wraps=spectra._square_free_decomposition) as spy:
+        found = _roots_or_error(p, candidates)
+    (rest,), _ = spy.call_args
+    assert not any(rest(c) == 0 for c in candidates)
+    assert found == _roots_or_error(p)
 
 
 # -- exact nullspaces ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import time
 from fractions import Fraction as F
 from operator import mul
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ import hypothesis.strategies as st
 
 from fockspec.banded import Band
 from fockspec.catalog import hermite, laguerre, lame, number, sextic
+from fockspec import spectra
 from fockspec.cli import main as cli_main
+from fockspec.opdsl import lower, parse
 from fockspec.realizations import ComplexPlane, DeltaLattice, Differential, QLattice
 from fockspec.solvability import es_diagonal
 from fockspec.spectra import (
@@ -543,6 +546,41 @@ def test_es_operators_have_diagonal_spectra():
         cp = char_poly(restrict(spec.element, Differential(), n))
         expected = sorted(es_diagonal(spec.element, k) for k in range(n + 1))
         assert [e.exact for e in roots(cp)] == expected
+
+
+#: the exactly solvable rows of the n=64 envelope: a repeated root, and
+#: roots of large height (ROADMAP item 3)
+ES_ROWS = [
+    "(b*a - 32)^2*(b*a - 1000003/7)",
+    "(b*a - 32)^2*(b*a - 1000003/7) + 3/1000033*b*a",
+    "b*a*b*a*b*a + 1/1000003*b*a",
+]
+
+
+@pytest.mark.parametrize("expr", ES_ROWS)
+def test_es_rows_at_64_return_their_sorted_diagonal(expr):
+    m = restrict(lower(parse(expr)), Differential(), 64)
+    diagonal = m.flag.diagonal()
+    expected = [Eigenvalue.from_exact(x) for x in sorted(diagonal)]
+    assert roots(char_poly(m.flag), candidates=diagonal) == expected
+
+
+def _evaluations(cp):
+    """``roots(cp)`` and the number of exact polynomial evaluations it made."""
+    with mock.patch.object(spectra, "_value_at", wraps=spectra._value_at) as spy:
+        evs = roots(cp)
+    return evs, spy.call_count
+
+
+@pytest.mark.parametrize("d, measured", [(F(1), 894), (F(1, 2**20 + 1), 1322)], ids=["1", "1/p"])
+def test_refinement_converges_in_a_pinned_number_of_evaluations(d, measured):
+    # Lame(2, d, 64): 65 irrational roots.  Quadratic interval refinement
+    # made 894 and 1322 exact evaluations here (13.8 and 20.3 a root), and
+    # bisection 3395 (52 a root) at d = 1; a count repeats exactly, so 1.5x
+    # the measured count pins the quadratic convergence without a timing
+    evs, count = _evaluations(char_poly(restrict(lame(2, d, 64).element, Differential(), 64).flag))
+    assert len(evs) == 65 and not any(ev.is_exact for ev in evs)
+    assert count <= 1.5 * measured
 
 
 def test_catalog_operators_isospectral_on_all_fibers():
