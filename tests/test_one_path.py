@@ -1506,6 +1506,28 @@ def test_candidates_change_no_root(case):
     assert found == _roots_or_error(p)
 
 
+#: spaces where every {k}_q is nonzero, so that no span is refused
+es_realizations = st.one_of(
+    st.just(Differential()),
+    st.builds(DeltaLattice, nonzero_rationals()),
+    st.builds(QLattice, nonzero_rationals().filter(lambda q: abs(q) != 1)),
+    st.builds(ComplexPlane, st.integers(0, 3)),
+)
+
+
+@given(weyl_elements(max_degree=4, max_terms=5).map(_es_part), es_realizations, st.integers(0, 8))
+@example(WeylElement({(1, 1): 1, (2, 2): F(-1, 3)}), QLattice(F(1, 2)), 6)
+@settings(max_examples=100, deadline=None)
+def test_es_roots_are_the_sorted_diagonal(u, r, n):
+    # an exactly solvable restriction is upper triangular in every space:
+    # its diagonal, given as candidates, is the spectrum roots(p) finds
+    m = restrict(u, r, n)
+    diagonal = m.flag.diagonal()
+    cp = char_poly(m.flag)
+    expected = [Eigenvalue.from_exact(x) for x in sorted(diagonal)]
+    assert roots(cp, candidates=diagonal) == expected == roots(cp)
+
+
 # -- exact nullspaces ----------------------------------------------------------------
 
 
